@@ -436,10 +436,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PresentationParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapError as exc:
+    except (ValueError, OSError, ResourceCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

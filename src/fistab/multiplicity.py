@@ -1,9 +1,10 @@
 """Eventual multiplicities, the stable dimension polynomial, and the onset.
 
-Once the degree passes the onset bound (largest generator degree plus
-largest relation degree), the decomposition of a finitely presented
-FI-module stops changing except for the growing top rows, and its
-dimension follows an exact polynomial.  Both are read off from coranks of
+Once the degree passes the onset bound (the largest generator degree g
+plus the larger of g and the largest relation degree r), the
+decomposition of a finitely presented FI-module stops changing except
+for the growing top rows, and its dimension follows an exact
+polynomial.  Both are read off from coranks of
 the transported presentation matrices, one per partition up to the
 largest generator degree.
 """
@@ -71,8 +72,22 @@ def eventual_invariants(z: PresentationMatrix) -> int:
 
 
 def onset_bound(z: PresentationMatrix) -> int:
-    """Degree from which the eventual multiplicities are attained."""
-    return z.max_generator_degree + z.max_relation_degree
+    """Degree from which the eventual multiplicities are attained.
+
+    With g the largest generator degree and r the largest relation
+    degree, the bound is g + max(g, r).  Two conditions meet here.  A
+    table shape lam, of size at most g, shows up at degree n as
+    (n - |lam|, lam), which is a partition only when n >= |lam| + lam_1;
+    since lam_1 <= |lam| <= g, every table shape is visible once
+    n >= 2g, and a free module M(g) has not reached its stable
+    decomposition before then.  The relations settle from g + r, the
+    stable range of a module generated in degree <= g and related in
+    degree <= r.  When r >= g the second condition is the binding one
+    and the bound is g + r; when r < g, as for a free module with no
+    relations at all, it is 2g.
+    """
+    g = z.max_generator_degree
+    return g + max(g, z.max_relation_degree)
 
 
 @dataclass(frozen=True)

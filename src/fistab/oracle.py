@@ -8,8 +8,10 @@ reading symmetric-group traces off the reduced basis.  Multiplicities then
 come from character inner products.  Agreement with the closed form is
 checked by :func:`verify`.
 
-The echelon keeps rows as sparse integer dicts with content divided out,
-so the incidence-like matrices produced by presentations stay small.
+The echelon is :class:`fistab.ratmat.Echelon`, the engine behind every
+rank in the package: it keeps rows as sparse integer dicts with content
+divided out, so the incidence-like matrices produced by presentations
+stay small.
 Because work grows quickly with the degree, evaluation refuses degrees
 beyond a budget: ambient rows above the cap (default 5000) or relation
 columns above ten times it.  Override with the FISTAB_ORACLE_CAP
@@ -20,8 +22,8 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import factorial, gcd, lcm
+from functools import lru_cache
+from math import factorial, lcm
 
 from .combinatorics import (
     Partition,
@@ -36,7 +38,7 @@ from .combinatorics import (
 )
 from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_bound
 from .presentation import PresentationMatrix
-from .ratmat import RationalMatrix
+from .ratmat import Echelon, RationalMatrix
 from .specht import mn_character
 
 DEFAULT_ROW_CAP = 5000
@@ -48,70 +50,19 @@ class ResourceCapError(RuntimeError):
 
 
 def _row_cap() -> int:
+    """The configured ambient row cap; a set value must be a positive int."""
     raw = os.environ.get(ROW_CAP_ENV)
-    return int(raw) if raw else DEFAULT_ROW_CAP
-
-
-def _content(values) -> int:
-    return reduce(gcd, values)
-
-
-class _Echelon:
-    """Incremental exact integer row echelon over sparse rows."""
-
-    def __init__(self):
-        self.rows: list[dict[int, int]] = []
-        self.pivots: dict[int, int] = {}
-
-    @staticmethod
-    def _combine(row, other, col):
-        """row * m1 - other * m2, scaled to cancel column col, content 1."""
-        a, b = row[col], other[col]
-        g = gcd(a, b)
-        m1, m2 = b // g, a // g
-        new = {k: v * m1 for k, v in row.items()}
-        for k, v in other.items():
-            w = new.get(k, 0) - v * m2
-            if w:
-                new[k] = w
-            elif k in new:
-                del new[k]
-        if new:
-            c = _content(new.values())
-            if c > 1:
-                new = {k: v // c for k, v in new.items()}
-        return new
-
-    def add_row(self, row: dict[int, int]) -> bool:
-        """Reduce a row against the pivots; keep it if independent."""
-        while row:
-            col = min(row)
-            if col not in self.pivots:
-                break
-            row = self._combine(row, self.rows[self.pivots[col]], col)
-        if not row:
-            return False
-        c = _content(row.values())
-        lead = min(row)
-        if row[lead] < 0:
-            c = -c
-        if c != 1:
-            row = {k: v // c for k, v in row.items()}
-        self.pivots[lead] = len(self.rows)
-        self.rows.append(row)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def reduce_fully(self):
-        """Clear every pivot column from all other rows (reduced form)."""
-        for col in sorted(self.pivots, reverse=True):
-            keep = self.pivots[col]
-            for idx, row in enumerate(self.rows):
-                if idx != keep and col in row:
-                    self.rows[idx] = self._combine(row, self.rows[keep], col)
+    if not raw:
+        return DEFAULT_ROW_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap <= 0:
+        raise ValueError(
+            f"{ROW_CAP_ENV} must be a positive integer, got {raw!r}"
+        )
+    return cap
 
 
 @dataclass
@@ -131,7 +82,7 @@ class DegreeEvaluation:
     _offsets: list[int] = field(repr=False)
     _injections: list[list[tuple[int, ...]]] = field(repr=False)
     _index: list[dict[tuple[int, ...], int]] = field(repr=False)
-    _basis: _Echelon = field(repr=False)
+    _basis: Echelon = field(repr=False)
 
     @property
     def cokernel_dim(self) -> int:
@@ -250,7 +201,7 @@ def _evaluate_uncached(z: PresentationMatrix, n: int) -> DegreeEvaluation:
         index.append({f: a for a, f in enumerate(block)})
         total += len(block)
 
-    basis = _Echelon()
+    basis = Echelon()
     for j, y in enumerate(z.relation_degrees):
         column_terms = [
             (i, z.entries[(i, j)].terms)

@@ -15,7 +15,13 @@ tableau t), columns by pairs (q, u) on the target side, and the (p, t),
     box_sign(row_word(u) o sorting_permutation(f o p), col_word(t))
 
 when f o p and q share an image, else 0.  Only the column block whose
-monotone injection matches the image of f o p can be nonzero.
+monotone injection matches the image of f o p can be nonzero, and that
+block is the Specht block specht_raw(lam, sorting_permutation(f o p)).
+
+The transported matrix of a presentation is assembled from cached Specht
+block rows in one pass: each distinct block is built once per matrix,
+kept as the (column, sign) pairs of its nonzero entries, and added times
+its coefficient straight into the output rows.
 """
 
 from fractions import Fraction
@@ -23,18 +29,16 @@ from functools import cache
 
 from .combinatorics import (
     Partition,
-    box_sign,
     check_partition,
-    col_word,
     compose,
     identity,
     monotone_injections,
     monotone_part,
-    row_word,
     sorting_permutation,
     standard_tableaux,
 )
 from .ratmat import BlockLayout, RationalMatrix, assemble_blocks
+from .specht import specht_raw
 
 
 class FormalSum:
@@ -192,10 +196,58 @@ class PresentationMatrix:
 # the transported matrices
 # ---------------------------------------------------------------------------
 
-@cache
-def _tableau_words(lam: Partition):
-    tabs = standard_tableaux(lam)
-    return tuple(row_word(t) for t in tabs), tuple(col_word(t) for t in tabs)
+def _transport(lam: Partition, row_degrees, col_degrees, entries) -> RationalMatrix:
+    """The transported matrix of a grid of formal sums, for shape lam.
+
+    Block row i has source degree ``row_degrees[i]``, block column j has
+    target degree ``col_degrees[j]``, and ``entries`` maps (i, j) to a dict
+    from injections to coefficients.  The term f with coefficient c adds
+    c times the Specht block specht_raw(lam, sorting_permutation(f o p)) at
+    block row (i, p) and block column (j, monotone_part(f o p)).  Each
+    distinct block is built once and kept as the (column, sign) pairs of
+    its nonzero entries, and only those are added into the output rows.
+    """
+    lam = check_partition(lam)
+    k = sum(lam)
+    dim = len(standard_tableaux(lam))
+    row_offsets = []
+    nrows = 0
+    for x in row_degrees:
+        row_offsets.append(nrows)
+        nrows += len(monotone_injections(k, x)) * dim
+    col_offsets = []
+    ncols = 0
+    for y in col_degrees:
+        col_offsets.append(ncols)
+        ncols += len(monotone_injections(k, y)) * dim
+
+    out = [[0] * ncols for _ in range(nrows)]
+    block_rows = {}
+    for (i, j), terms in entries.items():
+        sources = monotone_injections(k, row_degrees[i])
+        block_col = {
+            q: col_offsets[j] + a * dim
+            for a, q in enumerate(monotone_injections(k, col_degrees[j]))
+        }
+        for f, coeff in terms.items():
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
+            for pi, p in enumerate(sources):
+                fp = compose(f, p)
+                sigma = sorting_permutation(fp)
+                pairs = block_rows.get(sigma)
+                if pairs is None:
+                    pairs = block_rows[sigma] = [
+                        [(c, v) for c, v in enumerate(row) if v]
+                        for row in specht_raw(lam, sigma).rows
+                    ]
+                base = block_col[monotone_part(fp)]
+                r0 = row_offsets[i] + pi * dim
+                for t, row_pairs in enumerate(pairs):
+                    row = out[r0 + t]
+                    for c, v in row_pairs:
+                        row[base + c] += coeff * v
+    return RationalMatrix(out, ncols=ncols)
 
 
 def induced_raw(lam: Partition, f, target: int) -> RationalMatrix:
@@ -205,41 +257,13 @@ def induced_raw(lam: Partition, f, target: int) -> RationalMatrix:
     standard tableaux of lam (inner); columns likewise on the target side.
     Shapes larger than x give a genuine 0-row matrix.
     """
-    lam = check_partition(lam)
-    k = sum(lam)
-    x = len(f)
-    row_words, col_words = _tableau_words(lam)
-    dim = len(row_words)
-    sources = monotone_injections(k, x)
-    targets = monotone_injections(k, target)
-    target_index = {q: a for a, q in enumerate(targets)}
-
-    out = [[0] * (len(targets) * dim) for _ in range(len(sources) * dim)]
-    for pi, p in enumerate(sources):
-        fp = compose(f, p)
-        block_col = target_index[monotone_part(fp)]
-        sort_fp = sorting_permutation(fp)
-        rows_by_u = [compose(w, sort_fp) for w in row_words]
-        for ti in range(dim):
-            row = out[pi * dim + ti]
-            base = block_col * dim
-            col_t = col_words[ti]
-            for uj in range(dim):
-                row[base + uj] = box_sign(rows_by_u[uj], col_t)
-    return RationalMatrix(out, ncols=len(targets) * dim)
+    f = tuple(f)
+    return _transport(lam, (len(f),), (target,), {(0, 0): {f: 1}})
 
 
 def induced_raw_sum(lam: Partition, s: FormalSum) -> RationalMatrix:
     """Linear extension of induced_raw to a formal sum of injections."""
-    lam = check_partition(lam)
-    k = sum(lam)
-    dim = len(standard_tableaux(lam))
-    nrows = len(monotone_injections(k, s.source)) * dim
-    ncols = len(monotone_injections(k, s.target)) * dim
-    total = RationalMatrix.zeros(nrows, ncols)
-    for f, coeff in sorted(s.terms.items()):
-        total = total + induced_raw(lam, f, s.target).scale(coeff)
-    return total
+    return _transport(lam, (s.source,), (s.target,), {(0, 0): s.terms})
 
 
 def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalMatrix:
@@ -250,17 +274,10 @@ def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalM
     injections.  No generators of degree >= |lam| means no rows, and no
     relations means no columns.
     """
-    lam = check_partition(lam)
-    k = sum(lam)
-    dim = len(standard_tableaux(lam))
-    layout = BlockLayout(
-        tuple(len(monotone_injections(k, x)) * dim for x in z.generator_degrees),
-        tuple(len(monotone_injections(k, y)) * dim for y in z.relation_degrees),
+    return _transport(
+        lam, z.generator_degrees, z.relation_degrees,
+        {pos: s.terms for pos, s in z.entries.items()},
     )
-    blocks = {
-        pos: induced_raw_sum(lam, s) for pos, s in z.entries.items()
-    }
-    return assemble_blocks(layout, blocks)
 
 
 def augmentation_matrix(z: PresentationMatrix) -> RationalMatrix:

@@ -1,11 +1,17 @@
-"""Dense exact-rational matrices: rank, corank, inverse, block assembly.
+"""Exact rational matrices and the one exact elimination engine.
 
 Entries are Python ints or ``fractions.Fraction``; integral fractions are
-normalized to int on construction so that the common all-integer case runs
-on fast machine arithmetic.  Rank is computed by fraction-free Bareiss
-elimination after clearing row denominators, which keeps every
-intermediate value an exact minor of the scaled matrix and so bounds
-coefficient growth; pivots are chosen of smallest nonzero magnitude.
+normalized to int on construction, and rows that hold only ints are kept
+as given, so the common all-integer case runs on fast machine arithmetic.
+Rows are stored dense, as tuples.
+
+Every rank in the package comes from :class:`Echelon`, an incremental
+exact integer row echelon over sparse rows (dicts from column to nonzero
+value) with the content of each row divided out.  The transported
+matrices of the closed form are a few percent nonzero, and so are the
+relation matrices of the brute-force oracle, which feeds the same engine
+directly.  ``RationalMatrix.rank`` clears each row's denominators and
+feeds the row's nonzero entries to it.
 
 Matrices with zero rows or zero columns are first-class: a matrix with no
 columns has rank 0 (so its corank equals its row count), and a matrix with
@@ -16,7 +22,9 @@ Matrices are immutable values; every operation returns a fresh matrix.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from itertools import compress
+from math import gcd, lcm
 
 
 def _norm(v):
@@ -26,6 +34,75 @@ def _norm(v):
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else v
     raise TypeError(f"matrix entries must be int or Fraction, got {type(v)!r}")
+
+
+def _norm_row(row) -> tuple:
+    row = tuple(row)
+    if set(map(type, row)) <= {int}:
+        return row
+    return tuple(map(_norm, row))
+
+
+def _content(values) -> int:
+    return reduce(gcd, values)
+
+
+class Echelon:
+    """Incremental exact integer row echelon over sparse rows."""
+
+    def __init__(self):
+        self.rows: list[dict[int, int]] = []
+        self.pivots: dict[int, int] = {}
+
+    @staticmethod
+    def _combine(row, other, col):
+        """row * m1 - other * m2, scaled to cancel column col, content 1."""
+        a, b = row[col], other[col]
+        g = gcd(a, b)
+        m1, m2 = b // g, a // g
+        new = {k: v * m1 for k, v in row.items()}
+        for k, v in other.items():
+            w = new.get(k, 0) - v * m2
+            if w:
+                new[k] = w
+            elif k in new:
+                del new[k]
+        if new:
+            c = _content(new.values())
+            if c > 1:
+                new = {k: v // c for k, v in new.items()}
+        return new
+
+    def add_row(self, row: dict[int, int]) -> bool:
+        """Reduce a row against the pivots; keep it if independent."""
+        while row:
+            col = min(row)
+            if col not in self.pivots:
+                break
+            row = self._combine(row, self.rows[self.pivots[col]], col)
+        if not row:
+            return False
+        c = _content(row.values())
+        lead = min(row)
+        if row[lead] < 0:
+            c = -c
+        if c != 1:
+            row = {k: v // c for k, v in row.items()}
+        self.pivots[lead] = len(self.rows)
+        self.rows.append(row)
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce_fully(self):
+        """Clear every pivot column from all other rows (reduced form)."""
+        for col in sorted(self.pivots, reverse=True):
+            keep = self.pivots[col]
+            for idx, row in enumerate(self.rows):
+                if idx != keep and col in row:
+                    self.rows[idx] = self._combine(row, self.rows[keep], col)
 
 
 class SingularMatrixError(ValueError):
@@ -38,7 +115,7 @@ class RationalMatrix:
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        rows = tuple(tuple(_norm(v) for v in row) for row in rows)
+        rows = tuple(map(_norm_row, rows))
         if rows:
             width = len(rows[0])
             if any(len(row) != width for row in rows):
@@ -141,57 +218,21 @@ class RationalMatrix:
 
     # -- rank and inverse ---------------------------------------------------
 
-    def _integer_rows(self) -> list[list[int]]:
-        """Copies of the rows scaled to integers (rank-preserving)."""
-        out = []
-        for row in self.rows:
-            denoms = [v.denominator for v in row if isinstance(v, Fraction)]
-            if denoms:
-                m = lcm(*denoms)
-                out.append([int(v * m) for v in row])
-            else:
-                out.append(list(row))
-        return out
-
     def rank(self) -> int:
-        """Exact rank over the rationals, by fraction-free elimination."""
-        m = self._integer_rows()
-        nrows, ncols = self.nrows, self.ncols
-        rank = 0
-        prev = 1
-        for col in range(ncols):
-            if rank == nrows:
-                break
-            # smallest nonzero pivot bounds growth of later minors
-            pivot = -1
-            best = None
-            for i in range(rank, nrows):
-                v = m[i][col]
-                if v != 0 and (best is None or abs(v) < best):
-                    pivot, best = i, abs(v)
-            if pivot < 0:
-                continue
-            if pivot != rank:
-                m[rank], m[pivot] = m[pivot], m[rank]
-            lead_row = m[rank]
-            lead = lead_row[col]
-            for i in range(rank + 1, nrows):
-                row = m[i]
-                factor = row[col]
-                if factor == 0:
-                    if prev != 1:
-                        for j in range(col + 1, ncols):
-                            row[j] = lead * row[j] // prev
-                    else:
-                        for j in range(col + 1, ncols):
-                            row[j] = lead * row[j]
-                else:
-                    for j in range(col + 1, ncols):
-                        row[j] = (lead * row[j] - factor * lead_row[j]) // prev
-                    row[col] = 0
-            prev = lead
-            rank += 1
-        return rank
+        """Exact rank over the rationals, by sparse integer row echelon.
+
+        Each row is scaled by the lcm of its denominators, which keeps the
+        rank, and its nonzero entries go to an :class:`Echelon`.
+        """
+        echelon = Echelon()
+        columns = range(self.ncols)
+        for row in self.rows:
+            entries = {j: row[j] for j in compress(columns, row)}
+            if Fraction in set(map(type, entries.values())):
+                scale = lcm(*(v.denominator for v in entries.values()))
+                entries = {j: int(v * scale) for j, v in entries.items()}
+            echelon.add_row(entries)
+        return echelon.rank
 
     def corank(self) -> int:
         """Row count minus rank."""
@@ -276,6 +317,7 @@ def assemble_blocks(layout: BlockLayout, blocks) -> RationalMatrix:
 
 __all__ = [
     "BlockLayout",
+    "Echelon",
     "RationalMatrix",
     "SingularMatrixError",
     "assemble_blocks",

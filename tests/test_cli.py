@@ -13,7 +13,7 @@ from fistab.cli import (
 from fistab.oracle import VerificationReport
 from fistab.presentation import FormalSum, PresentationMatrix
 
-from conftest import E_FILE, random_presentation
+from conftest import E_FILE, random_low_relation_presentation, random_presentation
 
 
 class TestParser:
@@ -208,3 +208,34 @@ class TestCommands:
         assert "cap" in capsys.readouterr().err
         monkeypatch.delenv("FISTAB_ORACLE_CAP")
         evaluate_degree.cache_clear()
+
+    @pytest.mark.parametrize("raw", ["ten", "2.5", "0", "-1"])
+    def test_bad_cap_exit_code(self, e_file, capsys, monkeypatch, raw):
+        from fistab.oracle import evaluate_degree
+
+        monkeypatch.setenv("FISTAB_ORACLE_CAP", raw)
+        evaluate_degree.cache_clear()
+        assert main(["evaluate", e_file, "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: FISTAB_ORACLE_CAP must be a positive integer, got {raw!r}\n"
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_verify_free_module_passes(self, tmp_path, capsys, k):
+        path = tmp_path / "free.fipres"
+        path.write_text(f"generators: {k}\nrelations:\n", encoding="utf-8")
+        assert main(["verify", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == payload["onset"] == 2 * k
+        assert payload["passed"]
+        assert payload["invisible"] == []
+
+    def test_verify_low_relation_presentations_pass(self, tmp_path, capsys):
+        rng = random.Random(59)
+        path = tmp_path / "low.fipres"
+        for _ in range(10):
+            z = random_low_relation_presentation(rng)
+            path.write_text(serialize_presentation(z), encoding="utf-8")
+            assert main(["verify", str(path)]) == 0
+            assert capsys.readouterr().out.rstrip().endswith("PASS")

@@ -12,7 +12,12 @@ from fistab.multiplicity import (
 from fistab.oracle import dimension_at
 from fistab.presentation import PresentationMatrix
 
-from conftest import free_module, random_presentation, torsion_presentation
+from conftest import (
+    free_module,
+    random_low_relation_presentation,
+    random_presentation,
+    torsion_presentation,
+)
 
 
 E_TABLE = {
@@ -81,7 +86,8 @@ class TestMultiplicities:
 class TestOnset:
     def test_examples(self, e_presentation):
         assert onset_bound(e_presentation) == 7
-        assert onset_bound(free_module(1)) == 1
+        assert onset_bound(free_module(1)) == 2
+        assert onset_bound(free_module(3)) == 6
         assert onset_bound(PresentationMatrix((), ())) == 0
 
 
@@ -125,6 +131,10 @@ class TestDimensionPolynomial:
         rng = random.Random(303)
         candidates = [free_module(1), free_module(2), torsion_presentation()] + [
             random_presentation(rng) for _ in range(8)
+        ]
+        low = random.Random(313)
+        candidates += [free_module(3)] + [
+            random_low_relation_presentation(low) for _ in range(8)
         ]
         for z in candidates:
             poly = dimension_polynomial(z)

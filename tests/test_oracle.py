@@ -23,9 +23,16 @@ from fistab.oracle import (
     relation_matrix_at,
     verify,
 )
+from fistab.multiplicity import onset_bound
 from fistab.presentation import FormalSum, PresentationMatrix
 
-from conftest import free_module, random_presentation, torsion_presentation
+from conftest import (
+    free_module,
+    random_low_relation_presentation,
+    random_presentation,
+    torsion_presentation,
+)
+from test_ratmat import gauss_rank
 
 
 E_DIMENSIONS = [0, 0, 0, 6, 18, 30, 44, 56, 76, 99, 125]
@@ -56,8 +63,9 @@ class TestRelationMatrix:
         assert (m.nrows, m.ncols) == (0, 0)
 
     def test_dense_rank_matches_sparse_engine(self, e_presentation):
-        # the dense matrix reduced by Bareiss and the oracle's own sparse
-        # echelon must agree on every rank
+        # the oracle's echelon of the relation rows must agree on every
+        # rank with the test-only Gauss-Jordan reference, run on the
+        # dense relation matrix
         rng = random.Random(13)
         candidates = [e_presentation, torsion_presentation()] + [
             random_presentation(rng) for _ in range(10)
@@ -66,8 +74,9 @@ class TestRelationMatrix:
             for n in range(6):
                 dense = relation_matrix_at(z, n)
                 ev = evaluate_degree(z, n)
+                assert gauss_rank(dense.rows, dense.ncols) == ev.rank
                 assert dense.rank() == ev.rank
-                assert ev.cokernel_dim == dense.nrows - dense.rank()
+                assert ev.cokernel_dim == dense.nrows - ev.rank
 
     def test_column_contents(self):
         # one generator of degree 1, relation [1] - [2] in degree 2
@@ -237,3 +246,29 @@ class TestVerify:
             z = random_presentation(rng)
             report = verify(z)
             assert report.passed, report
+
+    def test_free_modules_pass_from_onset(self):
+        # relation degree 0 < generator degree k: the onset is 2k, the
+        # first degree at which every table shape is visible
+        for k in (1, 2, 3):
+            report = verify(free_module(k))
+            assert report.n == report.onset == 2 * k
+            assert report.passed, report
+            assert report.invisible == ()
+
+    def test_free_module_onset_is_sharp(self):
+        # one degree earlier the shape (3) of M(3) needs a top row of 3
+        # but only 2 boxes are left for it
+        report = verify(free_module(3), 5)
+        assert report.pre_stable
+        assert report.invisible == (((3,), 1),)
+
+    def test_randomized_low_relation_presentations(self):
+        rng = random.Random(53)
+        for _ in range(25):
+            z = random_low_relation_presentation(rng)
+            for n in (None, onset_bound(z) + 1):
+                report = verify(z, n)
+                assert not report.pre_stable
+                assert report.passed, report
+                assert report.invisible == ()

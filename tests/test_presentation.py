@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fistab.combinatorics import (
     all_injections,
@@ -28,7 +30,8 @@ from fistab.presentation import (
 from fistab.ratmat import RationalMatrix
 from fistab.specht import mn_character, specht_action, specht_raw
 
-from conftest import free_module, random_presentation
+from conftest import free_module, random_presentation, reference_transport
+from test_ratmat import gauss_rank
 
 
 class TestFormalSum:
@@ -222,6 +225,56 @@ class TestTransportOfPresentations:
         ]
         for z in candidates:
             assert augmentation_matrix(z) == induced_raw_presentation((), z)
+
+
+# Coefficients, degrees and entry counts that the seeded corpus of
+# random_presentation never draws: rationals, up to three generators, no
+# relations, and relation degrees below generator degrees.
+_COEFFICIENTS = st.sampled_from(
+    [Fraction(c) for c in ("-2", "-3/2", "-1", "-1/2", "1/3", "1", "2")]
+)
+
+
+@st.composite
+def presentations(draw):
+    gens = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    rels = draw(st.lists(st.integers(0, 4), max_size=2))
+    entries = {}
+    for i, x in enumerate(gens):
+        for j, y in enumerate(rels):
+            pool = all_injections(x, y)
+            if not pool:
+                continue
+            terms = draw(st.lists(
+                st.tuples(st.sampled_from(pool), _COEFFICIENTS), max_size=3
+            ))
+            s = FormalSum(x, y, terms)
+            if not s.is_zero:
+                entries[(i, j)] = s
+    return PresentationMatrix(gens, rels, entries)
+
+
+def _table_shapes(z):
+    return [
+        lam
+        for size in range(z.max_generator_degree + 1)
+        for lam in partitions(size)
+    ]
+
+
+class TestTransportEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(presentations())
+    def test_matches_term_by_term_reference(self, z):
+        for lam in _table_shapes(z):
+            assert induced_raw_presentation(lam, z) == reference_transport(lam, z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations())
+    def test_rank_matches_gauss_jordan(self, z):
+        for lam in _table_shapes(z):
+            m = induced_raw_presentation(lam, z)
+            assert m.rank() == gauss_rank(m.rows, m.ncols)
 
 
 def regular_representation(k: int):
