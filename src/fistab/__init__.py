@@ -5,75 +5,46 @@ The closed form reads each multiplicity off as the corank of an exact
 rational block matrix built from a presentation; the brute-force oracle
 evaluates the module degree by degree and decomposes it by characters.
 ``verify`` confronts the two.
+
+The names exported here are the ones the demos and the README quick start
+use; everything else is reached through its submodule, and presentation
+files through ``fistab.cli``.
 """
 
 from .combinatorics import (
-    all_injections,
-    box_sign,
-    class_representative,
-    class_size,
-    col_word,
-    compose,
-    conjugate,
-    cycle_type,
-    hook_length_count,
     horizontal_strip_extensions,
-    is_horizontal_strip_extension,
-    monotone_injections,
-    monotone_part,
     partitions,
-    reading_permutation,
-    row_word,
-    sorting_permutation,
     standard_tableaux,
-    with_top_row,
 )
-from .cli import (
-    PresentationParseError,
-    parse_presentation,
-    serialize_presentation,
-)
-from .multiplicity import (
-    DimensionPolynomial,
-    MultiplicityTable,
-    dimension_polynomial,
-    eventual_invariants,
-    eventual_multiplicities,
-    onset_bound,
-)
-from .oracle import (
-    ResourceCapError,
-    VerificationReport,
-    ambient_trace,
-    cokernel_trace,
-    decompose_at,
-    dimension_at,
-    evaluate_degree,
-    relation_matrix_at,
-    verify,
-)
+from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_bound
+from .oracle import decompose_at, dimension_at, verify
 from .presentation import (
     FormalSum,
     PresentationMatrix,
-    augmentation_matrix,
     induced_action,
     induced_block_action,
-    induced_raw,
     induced_raw_presentation,
-    induced_raw_sum,
 )
-from .ratmat import (
-    BlockLayout,
-    RationalMatrix,
-    SingularMatrixError,
-    assemble_blocks,
-)
-from .specht import (
-    character_of_action,
-    mn_character,
-    specht_action,
-    specht_dimension,
-    specht_raw,
-)
+from .specht import mn_character, specht_action, specht_raw
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "FormalSum",
+    "PresentationMatrix",
+    "decompose_at",
+    "dimension_at",
+    "dimension_polynomial",
+    "eventual_multiplicities",
+    "horizontal_strip_extensions",
+    "induced_action",
+    "induced_block_action",
+    "induced_raw_presentation",
+    "mn_character",
+    "onset_bound",
+    "partitions",
+    "specht_action",
+    "specht_raw",
+    "standard_tableaux",
+    "verify",
+]

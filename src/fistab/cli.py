@@ -72,7 +72,13 @@ def _parse_terms(body: str, lineno: int):
         sign = -1 if match.group("sep") == "-" else 1
         coeff = Fraction(1)
         if match.group("coeff"):
-            coeff = Fraction(match.group("coeff").replace(" ", ""))
+            text = match.group("coeff").replace(" ", "")
+            try:
+                coeff = Fraction(text)
+            except ZeroDivisionError:
+                raise PresentationParseError(
+                    lineno, f"coefficient {text} has a zero denominator"
+                ) from None
         images = tuple(int(v) for v in match.group("images").split())
         terms.append((images, sign * coeff))
         pos = match.end()

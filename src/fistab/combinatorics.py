@@ -189,16 +189,6 @@ def contains(inner: Partition, outer: Partition) -> bool:
     )
 
 
-def with_top_row(lam: Partition, n: int) -> Partition:
-    """The partition (n, lam_1, lam_2, ...): lam with a new top row.
-
-    Requires n >= lam_1, otherwise the result would not be a partition.
-    """
-    if lam and n < lam[0]:
-        raise ValueError(f"top row {n} shorter than first part of {lam}")
-    return (n,) + tuple(lam)
-
-
 def is_horizontal_strip_extension(inner: Partition, outer: Partition) -> bool:
     """True iff inner is contained in outer and outer minus inner has at
     most one box in each column."""
@@ -279,10 +269,6 @@ def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     return tuple(found)
 
 
-def shape_of(t: Tableau) -> Partition:
-    return tuple(len(row) for row in t)
-
-
 def row_word(t: Tableau) -> tuple[int, ...]:
     """Position l holds the row index of the box containing entry l."""
     k = sum(len(row) for row in t)
@@ -303,15 +289,6 @@ def col_word(t: Tableau) -> tuple[int, ...]:
     return tuple(word)
 
 
-def reading_permutation(t: Tableau) -> tuple[int, ...]:
-    """The rows of t concatenated, as a permutation in one-line notation.
-
-    This is the unique permutation carrying t to the lexicographic filling
-    of its shape: composing t with it box-by-box yields that filling.
-    """
-    return tuple(v for row in t for v in row)
-
-
 def box_sign(rows, cols) -> int:
     """Sign of the permutation sorting the box list ((rows_l, cols_l)) into
     lexicographic order, or 0 if any box repeats.
@@ -325,16 +302,6 @@ def box_sign(rows, cols) -> int:
         return 0
     order = {b: i + 1 for i, b in enumerate(sorted(boxes))}
     return sign(tuple(order[b] for b in boxes))
-
-
-def lexicographic_filling(lam: Partition) -> Tableau:
-    """The tableau filling lam with 1..|lam| row by row."""
-    t = []
-    value = 1
-    for row_len in lam:
-        t.append(tuple(range(value, value + row_len)))
-        value += row_len
-    return tuple(t)
 
 
 def falling_factorial(n: int, k: int) -> int:
@@ -364,16 +331,12 @@ __all__ = [
     "identity",
     "inverse",
     "is_horizontal_strip_extension",
-    "lexicographic_filling",
     "monotone_injections",
     "monotone_part",
     "partitions",
-    "reading_permutation",
     "row_word",
-    "shape_of",
     "sign",
     "sorting_permutation",
     "standard_tableaux",
     "symmetric_group",
-    "with_top_row",
 ]

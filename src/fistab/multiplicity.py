@@ -14,11 +14,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .combinatorics import Partition, partitions
-from .presentation import (
-    PresentationMatrix,
-    augmentation_matrix,
-    induced_raw_presentation,
-)
+from .presentation import PresentationMatrix, induced_raw_presentation
 
 
 @dataclass(frozen=True)
@@ -60,15 +56,6 @@ def eventual_multiplicities(z: PresentationMatrix) -> MultiplicityTable:
     return MultiplicityTable(
         counts, z.max_generator_degree, z.max_relation_degree
     )
-
-
-def eventual_invariants(z: PresentationMatrix) -> int:
-    """Eventual multiplicity of the trivial representation.
-
-    The corank of the augmented presentation; equal to the empty
-    partition's entry of the full table.
-    """
-    return augmentation_matrix(z).corank()
 
 
 def onset_bound(z: PresentationMatrix) -> int:
@@ -187,7 +174,6 @@ __all__ = [
     "DimensionPolynomial",
     "MultiplicityTable",
     "dimension_polynomial",
-    "eventual_invariants",
     "eventual_multiplicities",
     "onset_bound",
 ]

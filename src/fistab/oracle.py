@@ -11,7 +11,10 @@ checked by :func:`verify`.
 The echelon is :class:`fistab.ratmat.Echelon`, the engine behind every
 rank in the package: it keeps rows as sparse integer dicts with content
 divided out, so the incidence-like matrices produced by presentations
-stay small.
+stay small.  The relation rows go straight into it; the dense relation
+matrix is built only in the tests, as the reference its ranks are
+checked against.
+
 Because work grows quickly with the degree, evaluation refuses degrees
 beyond a budget: ambient rows above the cap (default 5000) or relation
 columns above ten times it.  Override with the FISTAB_ORACLE_CAP
@@ -38,7 +41,7 @@ from .combinatorics import (
 )
 from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_bound
 from .presentation import PresentationMatrix
-from .ratmat import Echelon, RationalMatrix
+from .ratmat import Echelon
 from .specht import mn_character
 
 DEFAULT_ROW_CAP = 5000
@@ -94,21 +97,6 @@ class DegreeEvaluation:
     def _unflat(self, flat: int):
         gen = bisect_right(self._offsets, flat) - 1
         return gen, self._injections[gen][flat - self._offsets[gen]]
-
-    def ambient_trace(self, mu: Partition) -> int:
-        """Trace of a class-mu permutation on the free ambient space.
-
-        A basis injection is fixed exactly when the permutation fixes its
-        image pointwise, so each generator of degree x contributes the
-        falling factorial of the fixed-point count, x steps.
-        """
-        mu = check_partition(mu)
-        if sum(mu) != self.n:
-            raise ValueError(f"class {mu} is not a cycle type for degree {self.n}")
-        fixed = sum(1 for part in mu if part == 1)
-        return sum(
-            falling_factorial(fixed, x) for x in self._z.generator_degrees
-        )
 
     def _image_trace(self, sigma) -> Fraction:
         """Trace of a permutation restricted to the relation image.
@@ -242,45 +230,9 @@ def evaluate_degree(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     return _evaluate_uncached(z, n)
 
 
-def relation_matrix_at(z: PresentationMatrix, n: int) -> RationalMatrix:
-    """The relation map at degree n as a dense matrix.
-
-    Rows are (generator, injection into [n]) pairs, columns are
-    (relation, injection) pairs, both blocks in declaration order with
-    injections enumerated lexicographically.  Column (j, h) carries, for
-    each term g with coefficient a in entry (i, j), the value a at row
-    (i, h o g).
-    """
-    row_blocks = [all_injections(x, n) for x in z.generator_degrees]
-    offsets = []
-    total = 0
-    for block in row_blocks:
-        offsets.append(total)
-        total += len(block)
-    index = [{f: a for a, f in enumerate(block)} for block in row_blocks]
-
-    col_blocks = [all_injections(y, n) for y in z.relation_degrees]
-    ncols = sum(len(block) for block in col_blocks)
-    out = [[0] * ncols for _ in range(total)]
-    col = 0
-    for j, block in enumerate(col_blocks):
-        for h in block:
-            for i in range(z.num_generators):
-                if (i, j) not in z.entries:
-                    continue
-                for g, coeff in z.entries[(i, j)].terms.items():
-                    out[offsets[i] + index[i][compose(h, g)]][col] += coeff
-            col += 1
-    return RationalMatrix(out, ncols=ncols)
-
-
 def dimension_at(z: PresentationMatrix, n: int) -> int:
     """dim M[n]: ambient dimension minus relation rank, exactly."""
     return evaluate_degree(z, n).cokernel_dim
-
-
-def ambient_trace(z: PresentationMatrix, n: int, mu: Partition) -> int:
-    return evaluate_degree(z, n).ambient_trace(mu)
 
 
 def cokernel_trace(z: PresentationMatrix, n: int, mu: Partition) -> int:
@@ -379,11 +331,9 @@ __all__ = [
     "ResourceCapError",
     "ShapeCheck",
     "VerificationReport",
-    "ambient_trace",
     "cokernel_trace",
     "decompose_at",
     "dimension_at",
     "evaluate_degree",
-    "relation_matrix_at",
     "verify",
 ]

@@ -21,7 +21,9 @@ block is the Specht block specht_raw(lam, sorting_permutation(f o p)).
 The transported matrix of a presentation is assembled from cached Specht
 block rows in one pass: each distinct block is built once per matrix,
 kept as the (column, sign) pairs of its nonzero entries, and added times
-its coefficient straight into the output rows.
+its coefficient straight into the output rows.  The induced module of
+any symmetric-group representation (``induced_block_action``) is built
+by the same routine, with that representation in place of specht_raw.
 """
 
 from fractions import Fraction
@@ -37,7 +39,7 @@ from .combinatorics import (
     sorting_permutation,
     standard_tableaux,
 )
-from .ratmat import BlockLayout, RationalMatrix, assemble_blocks
+from .ratmat import RationalMatrix
 from .specht import specht_raw
 
 
@@ -196,20 +198,19 @@ class PresentationMatrix:
 # the transported matrices
 # ---------------------------------------------------------------------------
 
-def _transport(lam: Partition, row_degrees, col_degrees, entries) -> RationalMatrix:
-    """The transported matrix of a grid of formal sums, for shape lam.
+def _transport(block, k: int, dim: int, row_degrees, col_degrees,
+               entries) -> RationalMatrix:
+    """The transported matrix of a grid of formal sums.
 
-    Block row i has source degree ``row_degrees[i]``, block column j has
-    target degree ``col_degrees[j]``, and ``entries`` maps (i, j) to a dict
-    from injections to coefficients.  The term f with coefficient c adds
-    c times the Specht block specht_raw(lam, sorting_permutation(f o p)) at
-    block row (i, p) and block column (j, monotone_part(f o p)).  Each
-    distinct block is built once and kept as the (column, sign) pairs of
-    its nonzero entries, and only those are added into the output rows.
+    ``block`` maps a permutation of [k] to a dim x dim matrix.  Block row
+    i has source degree ``row_degrees[i]``, block column j has target
+    degree ``col_degrees[j]``, and ``entries`` maps (i, j) to a dict from
+    injections to coefficients.  The term f with coefficient c adds c
+    times block(sorting_permutation(f o p)) at block row (i, p) and block
+    column (j, monotone_part(f o p)).  Each distinct block is built and
+    its size checked once, kept as the (column, value) pairs of its
+    nonzero entries, and only those are added into the output rows.
     """
-    lam = check_partition(lam)
-    k = sum(lam)
-    dim = len(standard_tableaux(lam))
     row_offsets = []
     nrows = 0
     for x in row_degrees:
@@ -237,9 +238,15 @@ def _transport(lam: Partition, row_degrees, col_degrees, entries) -> RationalMat
                 sigma = sorting_permutation(fp)
                 pairs = block_rows.get(sigma)
                 if pairs is None:
+                    matrix = block(sigma)
+                    if (matrix.nrows, matrix.ncols) != (dim, dim):
+                        raise ValueError(
+                            f"block of {sigma} is {matrix.nrows}x"
+                            f"{matrix.ncols}, expected {dim}x{dim}"
+                        )
                     pairs = block_rows[sigma] = [
                         [(c, v) for c, v in enumerate(row) if v]
-                        for row in specht_raw(lam, sigma).rows
+                        for row in matrix.rows
                     ]
                 base = block_col[monotone_part(fp)]
                 r0 = row_offsets[i] + pi * dim
@@ -258,12 +265,14 @@ def induced_raw(lam: Partition, f, target: int) -> RationalMatrix:
     Shapes larger than x give a genuine 0-row matrix.
     """
     f = tuple(f)
-    return _transport(lam, (len(f),), (target,), {(0, 0): {f: 1}})
+    return induced_raw_sum(lam, FormalSum(len(f), target, {f: 1}))
 
 
 def induced_raw_sum(lam: Partition, s: FormalSum) -> RationalMatrix:
     """Linear extension of induced_raw to a formal sum of injections."""
-    return _transport(lam, (s.source,), (s.target,), {(0, 0): s.terms})
+    return induced_raw_presentation(
+        lam, PresentationMatrix((s.source,), (s.target,), {(0, 0): s})
+    )
 
 
 def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalMatrix:
@@ -274,8 +283,11 @@ def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalM
     injections.  No generators of degree >= |lam| means no rows, and no
     relations means no columns.
     """
+    lam = check_partition(lam)
     return _transport(
-        lam, z.generator_degrees, z.relation_degrees,
+        lambda sigma: specht_raw(lam, sigma), sum(lam),
+        len(standard_tableaux(lam)),
+        z.generator_degrees, z.relation_degrees,
         {pos: s.terms for pos, s in z.entries.items()},
     )
 
@@ -307,21 +319,13 @@ def induced_block_action(rep, k: int, f, target: int) -> RationalMatrix:
     result is a block matrix over (monotone injections into the source) x
     (monotone injections into the target) with exactly one nonzero block
     per block row: block (p, q) is rep(sorting_permutation(f o p)) when q
-    is the monotone injection with the image of f o p.
+    is the monotone injection with the image of f o p.  Raises ValueError
+    when a block used is not the size of rep at the identity.
     """
-    x = len(f)
-    dim = rep(identity(k)).nrows
-    sources = monotone_injections(k, x)
-    targets = monotone_injections(k, target)
-    target_index = {q: a for a, q in enumerate(targets)}
-    layout = BlockLayout(
-        (dim,) * len(sources), (dim,) * len(targets)
+    f = tuple(f)
+    return _transport(
+        rep, k, rep(identity(k)).nrows, (len(f),), (target,), {(0, 0): {f: 1}}
     )
-    blocks = {}
-    for pi, p in enumerate(sources):
-        fp = compose(f, p)
-        blocks[(pi, target_index[monotone_part(fp)])] = rep(sorting_permutation(fp))
-    return assemble_blocks(layout, blocks)
 
 
 @cache

@@ -5,13 +5,15 @@ normalized to int on construction, and rows that hold only ints are kept
 as given, so the common all-integer case runs on fast machine arithmetic.
 Rows are stored dense, as tuples.
 
-Every rank in the package comes from :class:`Echelon`, an incremental
-exact integer row echelon over sparse rows (dicts from column to nonzero
-value) with the content of each row divided out.  The transported
-matrices of the closed form are a few percent nonzero, and so are the
-relation matrices of the brute-force oracle, which feeds the same engine
-directly.  ``RationalMatrix.rank`` clears each row's denominators and
-feeds the row's nonzero entries to it.
+Every rank and every inverse in the package comes from :class:`Echelon`,
+an incremental exact integer row echelon over sparse rows (dicts from
+column to nonzero value) with the content of each row divided out.  The
+transported matrices of the closed form are a few percent nonzero, and
+so are the relation matrices of the brute-force oracle, which feeds the
+same engine directly.  ``RationalMatrix.rank`` clears each row's
+denominators and feeds the row's nonzero entries to it;
+``RationalMatrix.inverse`` feeds it the rows of [A | I] the same way and
+reads the inverse off the fully reduced echelon.
 
 Matrices with zero rows or zero columns are first-class: a matrix with no
 columns has rank 0 (so its corank equals its row count), and a matrix with
@@ -20,7 +22,6 @@ no rows has corank 0.
 Matrices are immutable values; every operation returns a fresh matrix.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -168,35 +169,7 @@ class RationalMatrix:
             for row in cells
         )
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.rows[i][j] for i in range(self.nrows)]
-             for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError(
-                f"cannot add {self.nrows}x{self.ncols} and "
-                f"{other.nrows}x{other.ncols}"
-            )
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
-
-    def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, alpha) -> "RationalMatrix":
-        alpha = _norm(alpha if isinstance(alpha, int) else Fraction(alpha))
-        return RationalMatrix(
-            [[alpha * v for v in row] for row in self.rows], ncols=self.ncols
-        )
+    # -- product ------------------------------------------------------------
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.ncols != other.nrows:
@@ -218,6 +191,18 @@ class RationalMatrix:
 
     # -- rank and inverse ---------------------------------------------------
 
+    def _integer_rows(self):
+        """Each row's nonzero entries as a sparse dict, times the lcm of
+        their denominators, paired with that lcm."""
+        columns = range(self.ncols)
+        for row in self.rows:
+            entries = {j: row[j] for j in compress(columns, row)}
+            scale = 1
+            if Fraction in set(map(type, entries.values())):
+                scale = lcm(*(v.denominator for v in entries.values()))
+                entries = {j: int(v * scale) for j, v in entries.items()}
+            yield entries, scale
+
     def rank(self) -> int:
         """Exact rank over the rationals, by sparse integer row echelon.
 
@@ -225,12 +210,7 @@ class RationalMatrix:
         rank, and its nonzero entries go to an :class:`Echelon`.
         """
         echelon = Echelon()
-        columns = range(self.ncols)
-        for row in self.rows:
-            entries = {j: row[j] for j in compress(columns, row)}
-            if Fraction in set(map(type, entries.values())):
-                scale = lcm(*(v.denominator for v in entries.values()))
-                entries = {j: int(v * scale) for j, v in entries.items()}
+        for entries, _ in self._integer_rows():
             echelon.add_row(entries)
         return echelon.rank
 
@@ -241,84 +221,38 @@ class RationalMatrix:
     def inverse(self) -> "RationalMatrix":
         """Exact inverse of a square full-rank matrix.
 
-        Raises SingularMatrixError otherwise.
+        Reduces [A | I] with an :class:`Echelon`.  Row i is scaled by the
+        lcm d of its denominators on both sides, so it enters as
+        [d A_i | d e_i]; row scaling leaves the inverse unchanged.  Every
+        row is independent thanks to its identity entry, and A is
+        singular exactly when some pivot falls in the right half.  After
+        full reduction, the row pivoting on column c is a multiple of
+        [e_c | (A^-1)_c].
+
+        Raises SingularMatrixError when A is not square or not invertible.
         """
         if self.nrows != self.ncols:
             raise SingularMatrixError(
                 f"cannot invert {self.nrows}x{self.ncols} matrix"
             )
         n = self.nrows
-        work = [
-            [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        for col in range(n):
-            pivot = next(
-                (i for i in range(col, n) if work[i][col] != 0), None
-            )
-            if pivot is None:
-                raise SingularMatrixError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            lead = work[col][col]
-            work[col] = [v / lead for v in work[col]]
-            for i in range(n):
-                if i != col and work[i][col] != 0:
-                    factor = work[i][col]
-                    work[i] = [
-                        v - factor * w for v, w in zip(work[i], work[col])
-                    ]
-        return RationalMatrix([row[n:] for row in work], ncols=n)
-
-
-@dataclass(frozen=True)
-class BlockLayout:
-    """Row and column block sizes for assembling a block matrix."""
-
-    row_sizes: tuple[int, ...]
-    col_sizes: tuple[int, ...]
-
-    @property
-    def nrows(self) -> int:
-        return sum(self.row_sizes)
-
-    @property
-    def ncols(self) -> int:
-        return sum(self.col_sizes)
-
-
-def assemble_blocks(layout: BlockLayout, blocks) -> RationalMatrix:
-    """Flatten a grid of blocks into one matrix.
-
-    ``blocks`` maps (block row, block col) to a RationalMatrix; missing
-    positions are zero blocks.  Every present block must match its layout
-    cell exactly.
-    """
-    row_offsets = [0]
-    for size in layout.row_sizes:
-        row_offsets.append(row_offsets[-1] + size)
-    col_offsets = [0]
-    for size in layout.col_sizes:
-        col_offsets.append(col_offsets[-1] + size)
-
-    out = [[0] * layout.ncols for _ in range(layout.nrows)]
-    for (bi, bj), block in blocks.items():
-        if not 0 <= bi < len(layout.row_sizes) or not 0 <= bj < len(layout.col_sizes):
-            raise ValueError(f"block position {(bi, bj)} outside layout")
-        if (block.nrows, block.ncols) != (layout.row_sizes[bi], layout.col_sizes[bj]):
-            raise ValueError(
-                f"block {(bi, bj)} is {block.nrows}x{block.ncols}, layout cell "
-                f"is {layout.row_sizes[bi]}x{layout.col_sizes[bj]}"
-            )
-        r0, c0 = row_offsets[bi], col_offsets[bj]
-        for i, row in enumerate(block.rows):
-            out[r0 + i][c0:c0 + block.ncols] = row
-    return RationalMatrix(out, ncols=layout.ncols)
+        echelon = Echelon()
+        for i, (entries, scale) in enumerate(self._integer_rows()):
+            entries[n + i] = scale
+            echelon.add_row(entries)
+        if any(col >= n for col in echelon.pivots):
+            raise SingularMatrixError("matrix is singular")
+        echelon.reduce_fully()
+        out = [None] * n
+        for col, idx in echelon.pivots.items():
+            row = echelon.rows[idx]
+            lead = row[col]
+            out[col] = [Fraction(row.get(n + j, 0), lead) for j in range(n)]
+        return RationalMatrix(out, ncols=n)
 
 
 __all__ = [
-    "BlockLayout",
     "Echelon",
     "RationalMatrix",
     "SingularMatrixError",
-    "assemble_blocks",
 ]

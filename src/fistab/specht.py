@@ -4,20 +4,19 @@ Two routes to the same characters live here.  ``specht_action`` builds the
 irreducible indexed by a partition as honest matrices acting on the span
 of its standard tableaux; ``mn_character`` computes character values
 recursively by rim-hook removal (Murnaghan-Nakayama).  Their agreement is
-a test, not an assumption.
+a test, not an assumption: the trace of ``specht_action`` on each class
+is computed in the tests and compared with ``mn_character``.
 
 The matrix model composes contravariantly: acting by sigma and then tau
 multiplies to the matrix of tau o sigma.
 """
 
-from fractions import Fraction
 from functools import cache
 
 from .combinatorics import (
     Partition,
     box_sign,
     check_partition,
-    class_representative,
     col_word,
     compose,
     row_word,
@@ -62,11 +61,6 @@ def specht_action(lam: Partition, sigma) -> RationalMatrix:
     specht_action(lam, tau o sigma).
     """
     return _specht_unit_inverse(lam) * specht_raw(lam, sigma)
-
-
-def specht_dimension(lam: Partition) -> int:
-    """Number of standard tableaux of shape lam (the matrix size)."""
-    return len(standard_tableaux(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -117,27 +111,8 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def character_of_action(lam: Partition, mu: Partition) -> int:
-    """Trace of specht_action on the canonical representative of class mu.
-
-    Must agree with mn_character; the two are computed along unrelated
-    routes.
-    """
-    if sum(lam) != sum(mu):
-        raise ValueError(f"|{lam}| = {sum(lam)} but |{mu}| = {sum(mu)}")
-    action = specht_action(lam, class_representative(mu))
-    trace = sum(action[i, i] for i in range(action.nrows))
-    if isinstance(trace, Fraction):
-        if trace.denominator != 1:
-            raise ArithmeticError(f"non-integer trace {trace}")
-        trace = int(trace)
-    return trace
-
-
 __all__ = [
-    "character_of_action",
     "mn_character",
     "specht_action",
-    "specht_dimension",
     "specht_raw",
 ]

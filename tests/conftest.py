@@ -15,7 +15,7 @@ from fistab.combinatorics import (
     sorting_permutation,
     standard_tableaux,
 )
-from fistab.ratmat import BlockLayout, RationalMatrix, assemble_blocks
+from fistab.ratmat import RationalMatrix
 
 E_FILE = """\
 # one generator of degree 3, one four-term cyclic relation of degree 4
@@ -109,12 +109,12 @@ def random_low_relation_presentation(rng: random.Random) -> PresentationMatrix:
 
 def reference_transport(lam, z: PresentationMatrix) -> RationalMatrix:
     """The transported presentation matrix for shape lam, built term by
-    term in dense matrices.
+    term in one dense list of rows.
 
-    Every injection gets its own matrix of box signs, which is scaled by
-    its coefficient and added into a zero block; the blocks are then
-    assembled.  It goes through neither specht_raw nor the cached block
-    rows of fistab.presentation, and serves as their reference.
+    Every term adds its coefficient times the box sign of each (t, u)
+    tableau pair straight into the output; nothing is cached.  It goes
+    through neither specht_raw nor the block transport of
+    fistab.presentation, and serves as their reference.
     """
     k = sum(lam)
     tabs = standard_tableaux(lam)
@@ -122,32 +122,29 @@ def reference_transport(lam, z: PresentationMatrix) -> RationalMatrix:
     row_words = [row_word(t) for t in tabs]
     col_words = [col_word(t) for t in tabs]
 
-    def size(degree):
-        return len(monotone_injections(k, degree)) * dim
+    def offsets(degrees):
+        starts, total = [], 0
+        for degree in degrees:
+            starts.append(total)
+            total += len(monotone_injections(k, degree)) * dim
+        return starts, total
 
-    def single(f, x, y):
-        targets = monotone_injections(k, y)
-        target_index = {q: a for a, q in enumerate(targets)}
-        out = [[0] * size(y) for _ in range(size(x))]
-        for pi, p in enumerate(monotone_injections(k, x)):
-            fp = compose(f, p)
-            base = target_index[monotone_part(fp)] * dim
-            rows_by_u = [compose(w, sorting_permutation(fp)) for w in row_words]
-            for ti in range(dim):
-                for uj in range(dim):
-                    out[pi * dim + ti][base + uj] = box_sign(
-                        rows_by_u[uj], col_words[ti]
-                    )
-        return RationalMatrix(out, ncols=size(y))
-
-    blocks = {}
-    for pos, s in z.entries.items():
-        total = RationalMatrix.zeros(size(s.source), size(s.target))
+    row_starts, nrows = offsets(z.generator_degrees)
+    col_starts, ncols = offsets(z.relation_degrees)
+    out = [[0] * ncols for _ in range(nrows)]
+    for (i, j), s in z.entries.items():
+        target_index = {
+            q: a for a, q in enumerate(monotone_injections(k, s.target))
+        }
         for f, coeff in sorted(s.terms.items()):
-            total = total + single(f, s.source, s.target).scale(coeff)
-        blocks[pos] = total
-    layout = BlockLayout(
-        tuple(size(x) for x in z.generator_degrees),
-        tuple(size(y) for y in z.relation_degrees),
-    )
-    return assemble_blocks(layout, blocks)
+            for pi, p in enumerate(monotone_injections(k, s.source)):
+                fp = compose(f, p)
+                r0 = row_starts[i] + pi * dim
+                c0 = col_starts[j] + target_index[monotone_part(fp)] * dim
+                rows_by_u = [compose(w, sorting_permutation(fp)) for w in row_words]
+                for ti in range(dim):
+                    for uj in range(dim):
+                        out[r0 + ti][c0 + uj] += coeff * box_sign(
+                            rows_by_u[uj], col_words[ti]
+                        )
+    return RationalMatrix(out, ncols=ncols)

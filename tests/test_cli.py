@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from fistab.oracle import VerificationReport
 from fistab.presentation import FormalSum, PresentationMatrix
 
 from conftest import E_FILE, random_low_relation_presentation, random_presentation
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestParser:
@@ -194,6 +200,24 @@ class TestCommands:
         path.write_text("generators: 1\nrelations: 1\nentry 1 1 : [2]\n")
         assert main(["multiplicities", str(path)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_zero_denominator_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.fipres"
+        path.write_text("generators: 1\nrelations: 2\nentry 1 1 : 1/0*[1]\n")
+        assert main(["multiplicities", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 3: coefficient 1/0 has a zero denominator\n"
+        )
+
+    def test_module_entry_point_runs_without_warnings(self):
+        # importing the package must not import fistab.cli, or runpy warns
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fistab.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("usage: fistab")
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["multiplicities", "/nonexistent.fipres"]) == 2

@@ -18,18 +18,14 @@ from fistab.combinatorics import (
     identity,
     inverse,
     is_horizontal_strip_extension,
-    lexicographic_filling,
     monotone_injections,
     monotone_part,
     partitions,
-    reading_permutation,
     row_word,
-    shape_of,
     sign,
     sorting_permutation,
     standard_tableaux,
     symmetric_group,
-    with_top_row,
 )
 
 
@@ -194,7 +190,7 @@ class TestStandardTableaux:
         for k in range(7):
             for lam in partitions(k):
                 for t in standard_tableaux(lam):
-                    assert shape_of(t) == lam
+                    assert tuple(len(row) for row in t) == lam
                     for row in t:
                         assert list(row) == sorted(row)
                     for upper, lower in zip(t, t[1:]):
@@ -216,23 +212,6 @@ class TestWords:
                     boxes = boxes_of(t)
                     assert row_word(t) == tuple(boxes[v][0] for v in range(1, k + 1))
                     assert col_word(t) == tuple(boxes[v][1] for v in range(1, k + 1))
-
-    def test_reading_permutation_examples(self):
-        assert reading_permutation(((1, 2), (3,))) == (1, 2, 3)
-        assert reading_permutation(((1, 3), (2,))) == (1, 3, 2)
-        assert reading_permutation(((1, 2), (3, 4), (5,))) == (1, 2, 3, 4, 5)
-
-    def test_reading_permutation_carries_to_lexicographic(self):
-        # composing the tableau with its reading permutation, box by box,
-        # gives the lexicographic filling of the shape
-        for k in range(7):
-            for lam in partitions(k):
-                lex_boxes = boxes_of(lexicographic_filling(lam))
-                for t in standard_tableaux(lam):
-                    boxes = boxes_of(t)
-                    zeta = reading_permutation(t)
-                    for m in range(1, k + 1):
-                        assert boxes[zeta[m - 1]] == lex_boxes[m]
 
 
 class TestBoxSign:
@@ -262,20 +241,16 @@ class TestBoxSign:
                 assert box_sign(a, b) == -base
 
     def test_lexicographic_filling_is_positive(self):
+        # the lexicographic filling (1..|lam| row by row) is the first
+        # standard tableau in canonical order
         for k in range(7):
             for lam in partitions(k):
-                t = lexicographic_filling(lam)
+                t = standard_tableaux(lam)[0]
+                assert [v for row in t for v in row] == list(range(1, k + 1))
                 assert box_sign(row_word(t), col_word(t)) == 1
 
 
 class TestShapes:
-    def test_with_top_row(self):
-        assert with_top_row((), 5) == (5,)
-        assert with_top_row((2, 1), 7) == (7, 2, 1)
-        assert with_top_row((1,), 1) == (1, 1)
-        with pytest.raises(ValueError):
-            with_top_row((3,), 2)
-
     def test_horizontal_strip_examples(self):
         assert is_horizontal_strip_extension((1,), (2,))
         assert is_horizontal_strip_extension((1,), (1, 1))

@@ -1,16 +1,23 @@
 import random
 from fractions import Fraction
 
-from fistab.combinatorics import hook_length_count, horizontal_strip_extensions
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fistab.combinatorics import (
+    all_injections,
+    compose,
+    hook_length_count,
+    horizontal_strip_extensions,
+)
 from fistab.multiplicity import (
     DimensionPolynomial,
     dimension_polynomial,
-    eventual_invariants,
     eventual_multiplicities,
     onset_bound,
 )
 from fistab.oracle import dimension_at
-from fistab.presentation import PresentationMatrix
+from fistab.presentation import FormalSum, PresentationMatrix, augmentation_matrix
 
 from conftest import (
     free_module,
@@ -18,6 +25,7 @@ from conftest import (
     random_presentation,
     torsion_presentation,
 )
+from test_presentation import presentations
 
 
 E_TABLE = {
@@ -64,11 +72,11 @@ class TestMultiplicities:
             torsion_presentation(),
         ] + [random_presentation(rng) for _ in range(12)]
         for z in candidates:
-            assert eventual_invariants(z) == eventual_multiplicities(z)[()]
+            assert augmentation_matrix(z).corank() == eventual_multiplicities(z)[()]
 
     def test_invariants_examples(self, e_presentation):
-        assert eventual_invariants(e_presentation) == 0
-        assert eventual_invariants(free_module(1)) == 1
+        assert augmentation_matrix(e_presentation).corank() == 0
+        assert augmentation_matrix(free_module(1)).corank() == 1
 
     def test_free_module_counts_match_strip_sums(self):
         # with no relations the corank is the full row count, which Pieri
@@ -81,6 +89,78 @@ class TestMultiplicities:
                     for mu in horizontal_strip_extensions(lam, k)
                 )
                 assert count == expected
+
+
+class TestMetamorphic:
+    # Changes of presentation that keep the module, or add modules, must
+    # act on the table as they act on the module; no oracle is involved.
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(), st.data())
+    def test_reordering_generators_and_relations(self, z, data):
+        gens = data.draw(st.permutations(range(z.num_generators)))
+        rels = data.draw(st.permutations(range(z.num_relations)))
+        new_gen = {old: new for new, old in enumerate(gens)}
+        new_rel = {old: new for new, old in enumerate(rels)}
+        reordered = PresentationMatrix(
+            [z.generator_degrees[i] for i in gens],
+            [z.relation_degrees[j] for j in rels],
+            {(new_gen[i], new_rel[j]): s for (i, j), s in z.entries.items()},
+        )
+        assert eventual_multiplicities(reordered) == eventual_multiplicities(z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(), st.data())
+    def test_scaling_a_relation(self, z, data):
+        if not z.num_relations:
+            return
+        j = data.draw(st.integers(0, z.num_relations - 1))
+        c = data.draw(st.fractions().filter(bool))
+        scaled = PresentationMatrix(z.generator_degrees, z.relation_degrees, {
+            (i, jj): s.scale(c) if jj == j else s
+            for (i, jj), s in z.entries.items()
+        })
+        assert eventual_multiplicities(scaled) == eventual_multiplicities(z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(), st.data())
+    def test_appending_a_consequence(self, z, data):
+        # column j composed with an injection h: [y] -> [y+1] already lies
+        # in the relation submodule
+        if not z.num_relations:
+            return
+        j = data.draw(st.integers(0, z.num_relations - 1))
+        y = z.relation_degrees[j]
+        h = data.draw(st.sampled_from(all_injections(y, y + 1)))
+        entries = dict(z.entries)
+        for (i, jj), s in z.entries.items():
+            if jj == j:
+                entries[(i, z.num_relations)] = FormalSum(s.source, y + 1, {
+                    compose(h, g): coeff for g, coeff in s.terms.items()
+                })
+        extended = PresentationMatrix(
+            z.generator_degrees, z.relation_degrees + (y + 1,), entries
+        )
+        assert (
+            eventual_multiplicities(extended).counts
+            == eventual_multiplicities(z).counts
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(), presentations())
+    def test_direct_sum_adds_tables(self, z1, z2):
+        g, r = z1.num_generators, z1.num_relations
+        entries = dict(z1.entries)
+        entries.update(
+            ((i + g, j + r), s) for (i, j), s in z2.entries.items()
+        )
+        total = PresentationMatrix(
+            z1.generator_degrees + z2.generator_degrees,
+            z1.relation_degrees + z2.relation_degrees,
+            entries,
+        )
+        t, t1, t2 = map(eventual_multiplicities, (total, z1, z2))
+        for lam, count in t:
+            assert count == t1[lam] + t2[lam]
 
 
 class TestOnset:

@@ -134,8 +134,8 @@ class TestTransportOfInjections:
         assert m.ncols == comb(4, 3)
 
     def test_matches_generic_block_construction(self):
-        # the per-injection transport is the block functor applied to the
-        # raw tableau pairing
+        # the per-injection transport, and the block functor applied to
+        # the raw tableau pairing, both equal the independent reference
         rng = random.Random(3)
         for _ in range(40):
             k = rng.randint(0, 3)
@@ -143,8 +143,11 @@ class TestTransportOfInjections:
             x = rng.randint(k, 4)
             y = rng.randint(x, 5)
             f = rng.choice(all_injections(x, y))
+            single = PresentationMatrix((x,), (y,), {(0, 0): FormalSum(x, y, {f: 1})})
+            expected = reference_transport(lam, single)
             rep = lambda s, lam=lam: specht_raw(lam, s)
-            assert induced_raw(lam, f, y) == induced_block_action(rep, k, f, y)
+            assert induced_raw(lam, f, y) == expected
+            assert induced_block_action(rep, k, f, y) == expected
 
 
 class TestTransportOfSums:
@@ -182,7 +185,12 @@ class TestTransportOfSums:
             s, t = rand_sum(), rand_sum()
             a, b = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2), 2)
             combined = induced_raw_sum(lam, s.scale(a) + t.scale(b))
-            split = induced_raw_sum(lam, s).scale(a) + induced_raw_sum(lam, t).scale(b)
+            ms, mt = induced_raw_sum(lam, s), induced_raw_sum(lam, t)
+            split = RationalMatrix(
+                [[a * u + b * v for u, v in zip(rs, rt)]
+                 for rs, rt in zip(ms.rows, mt.rows)],
+                ncols=ms.ncols,
+            )
             assert combined == split
 
 
@@ -318,6 +326,16 @@ class TestBlockFunctor:
         rep = lambda s: specht_action((2, 1), s)
         m = induced_block_action(rep, 3, identity(4), 4)
         assert m == RationalMatrix.identity(m.nrows)
+
+    def test_wrong_size_rep_raises(self):
+        # rep must give every block the size it has at the identity
+        def rep(sigma):
+            return RationalMatrix.identity(1 if sigma == (1, 2) else 2)
+
+        with pytest.raises(ValueError, match="expected 1x1"):
+            induced_block_action(rep, 2, (2, 1, 3), 3)
+        with pytest.raises(ValueError, match="expected 1x1"):
+            induced_block_action(lambda s: RationalMatrix([[1, 0]]), 1, (1,), 2)
 
     @pytest.mark.parametrize("k", range(4))
     def test_functor_law_small(self, k):

@@ -1,0 +1,89 @@
+"""The public surface: the demos run, the README quick start prints what
+its comments say, and ``fistab`` exports exactly the names they use."""
+
+import ast
+import builtins
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import fistab
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def quick_start() -> str:
+    """The python block under the README's "Quick start" heading."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def demo_imports() -> set[str]:
+    """Names the demos import from the top-level package."""
+    names = set()
+    for path in DEMOS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "fistab":
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def quick_start_uses() -> set[str]:
+    """Names the quick start reads without defining or taking from builtins;
+    it star-imports fistab, so these are the names it needs from it."""
+    tree = ast.parse(quick_start())
+    loaded, stored = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            (loaded if isinstance(node.ctx, ast.Load) else stored).add(node.id)
+    return loaded - stored - set(dir(builtins))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+
+
+def test_readme_quick_start_results():
+    # each result is a comment: on the line after the expression, or after
+    # it on the same line, up to the first ',' or ':' of the explanation
+    text = quick_start()
+    lines = text.splitlines()
+    namespace = {}
+    checked = 0
+    for node in ast.parse(text).body:
+        source = ast.get_source_segment(text, node)
+        if not isinstance(node, ast.Expr):
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            continue
+        trailing = lines[node.end_lineno - 1].partition("#")[2].strip()
+        if trailing:
+            expected = re.match(r"[^,:]+", trailing).group(0)
+        else:
+            expected = lines[node.end_lineno].lstrip("# ")
+        assert eval(source, namespace) == ast.literal_eval(expected), source
+        checked += 1
+    assert checked == 4
+
+
+def test_public_names_are_what_demos_and_readme_use():
+    used = demo_imports() | quick_start_uses()
+    assert set(fistab.__all__) == used
+    exported = {
+        name for name, value in vars(fistab).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == used

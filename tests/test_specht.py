@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 
 from fistab.combinatorics import (
+    class_representative,
     class_size,
     compose,
     cycle_type,
@@ -16,13 +17,17 @@ from fistab.combinatorics import (
     symmetric_group,
 )
 from fistab.ratmat import RationalMatrix
-from fistab.specht import (
-    character_of_action,
-    mn_character,
-    specht_action,
-    specht_dimension,
-    specht_raw,
-)
+from fistab.specht import mn_character, specht_action, specht_raw
+
+
+def character_of_action(lam, mu):
+    """Trace of specht_action on the canonical representative of class mu.
+
+    Must agree with mn_character; the two are computed along unrelated
+    routes.
+    """
+    action = specht_action(lam, class_representative(mu))
+    return sum(action[i, i] for i in range(action.nrows))
 
 
 class TestRawMatrices:
@@ -62,7 +67,7 @@ class TestActionMatrices:
     def test_identity_acts_as_identity(self):
         for k in range(6):
             for lam in partitions(k):
-                d = specht_dimension(lam)
+                d = hook_length_count(lam)
                 assert specht_action(lam, identity(k)) == RationalMatrix.identity(d)
 
     def test_sign_representation(self):
