@@ -152,13 +152,18 @@ def _shape_term(lam: Partition) -> list[Fraction]:
     return poly
 
 
-def dimension_polynomial(z: PresentationMatrix) -> DimensionPolynomial:
+def dimension_polynomial(
+    z: PresentationMatrix, table: MultiplicityTable | None = None
+) -> DimensionPolynomial:
     """The stable dimension polynomial of the presented module.
 
     Sums each shape's term weighted by its eventual multiplicity; exact
-    rational coefficients, valid from the onset bound.
+    rational coefficients, valid from the onset bound.  A caller that
+    already holds ``eventual_multiplicities(z)`` passes it as ``table``
+    so it is not built again.
     """
-    table = eventual_multiplicities(z)
+    if table is None:
+        table = eventual_multiplicities(z)
     total = [Fraction(0)] * (z.max_generator_degree + 1)
     for lam, count in table:
         if count == 0:

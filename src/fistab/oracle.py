@@ -2,23 +2,28 @@
 decompose into irreducibles.
 
 Nothing here touches the corank formula.  A degree n is evaluated by
-writing out the relation matrix on the full injection bases, computing an
-exact integer row echelon of its transpose (rank and an image basis), and
-reading symmetric-group traces off the reduced basis.  Multiplicities then
-come from character inner products.  Agreement with the closed form is
-checked by :func:`verify`.
+writing out the relation matrix on the full injection bases and
+computing an exact integer row echelon of its transpose (rank and an
+image basis); symmetric-group traces are read off that basis, and
+multiplicities come from character inner products.  Agreement with the
+closed form is checked by :func:`verify`.
 
 The echelon is :class:`fistab.ratmat.Echelon`, the engine behind every
-rank in the package: it keeps rows as sparse integer dicts with content
-divided out, so the incidence-like matrices produced by presentations
-stay small.  The relation rows go straight into it; the dense relation
-matrix is built only in the tests, as the reference its ranks are
-checked against.
+rank in the package.  Each relation column is scaled once by the lcm of
+its coefficient denominators, which keeps the span, so every relation
+row goes into the echelon as a sparse dict of ints.  The echelon keeps
+its basis fully reduced as rows arrive: every basis row is zero at every
+other row's pivot.  The trace on the relation image relies on that
+invariant, because it makes the coordinate of an image vector on a basis
+row the vector's value at that row's pivot, over the pivot value.  The
+dense relation matrix is built only in the tests, as the reference the
+ranks are checked against.
 
 Because work grows quickly with the degree, evaluation refuses degrees
 beyond a budget: ambient rows above the cap (default 5000) or relation
 columns above ten times it.  Override with the FISTAB_ORACLE_CAP
-environment variable.
+environment variable.  The budget is checked on every call, before the
+cache of evaluated degrees is consulted.
 """
 
 import os
@@ -101,9 +106,9 @@ class DegreeEvaluation:
     def _image_trace(self, sigma) -> Fraction:
         """Trace of a permutation restricted to the relation image.
 
-        The image is stable under the action, and in the reduced basis the
-        coefficient of basis row l in any image vector v is v at l's pivot
-        coordinate, divided by the pivot value.
+        The image is stable under the action.  The basis is fully
+        reduced, so the coefficient of basis row l in any image vector v
+        is v at l's pivot coordinate, divided by the pivot value.
         """
         sigma_inv = inverse(sigma)
         total = Fraction(0)
@@ -141,20 +146,19 @@ class DegreeEvaluation:
     def decompose(self) -> dict[Partition, int]:
         """Multiplicity of every irreducible at this degree.
 
-        Standard character inner products against the cokernel character;
-        a non-integer or negative multiplicity indicates an internal
-        inconsistency and raises.
+        Standard character inner products against the cokernel character,
+        each class weighted once by its size times its trace; classes with
+        trace 0 add nothing and are skipped.  A non-integer or negative
+        multiplicity indicates an internal inconsistency and raises.
         """
         n = self.n
         classes = partitions(n)
         traces = {mu: self.cokernel_trace(mu) for mu in classes}
+        weights = {mu: class_size(mu) * t for mu, t in traces.items() if t}
         order = factorial(n)
         result = {}
         for lam in classes:
-            acc = sum(
-                class_size(mu) * traces[mu] * mn_character(lam, mu)
-                for mu in classes
-            )
+            acc = sum(w * mn_character(lam, mu) for mu, w in weights.items())
             count, remainder = divmod(acc, order)
             if remainder != 0 or count < 0:
                 raise ArithmeticError(
@@ -164,9 +168,11 @@ class DegreeEvaluation:
         return result
 
 
-def _evaluate_uncached(z: PresentationMatrix, n: int) -> DegreeEvaluation:
-    ambient_dim = sum(falling_factorial(n, x) for x in z.generator_degrees)
+def _check_budget(z: PresentationMatrix, n: int) -> None:
+    """Refuse a degree whose ambient rows or relation columns exceed the
+    configured budget."""
     cap = _row_cap()
+    ambient_dim = sum(falling_factorial(n, x) for x in z.generator_degrees)
     if ambient_dim > cap:
         raise ResourceCapError(
             f"degree {n} needs {ambient_dim} ambient rows, cap is {cap} "
@@ -178,6 +184,10 @@ def _evaluate_uncached(z: PresentationMatrix, n: int) -> DegreeEvaluation:
             f"degree {n} needs {relation_dim} relation columns, budget is "
             f"{10 * cap} (raise {ROW_CAP_ENV} to override)"
         )
+
+
+@lru_cache(maxsize=16)
+def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     offsets = []
     injections = []
     index = []
@@ -191,28 +201,32 @@ def _evaluate_uncached(z: PresentationMatrix, n: int) -> DegreeEvaluation:
 
     basis = Echelon()
     for j, y in enumerate(z.relation_degrees):
-        column_terms = [
+        column = [
             (i, z.entries[(i, j)].terms)
             for i in range(z.num_generators)
             if (i, j) in z.entries
         ]
-        if not column_terms:
+        if not column:
             continue
+        # Scaling a relation column by the lcm of its denominators keeps
+        # the span, and every row it gives is then a row of ints.
+        scale = lcm(*(c.denominator for _, terms in column for c in terms.values()))
+        column = [
+            (offsets[i], index[i], [(g, int(c * scale)) for g, c in terms.items()])
+            for i, terms in column
+        ]
         for h in all_injections(y, n):
-            row: dict[int, Fraction] = {}
-            for i, terms in column_terms:
-                for g, coeff in terms.items():
-                    flat = offsets[i] + index[i][compose(h, g)]
+            row: dict[int, int] = {}
+            for offset, positions, terms in column:
+                for g, coeff in terms:
+                    flat = offset + positions[compose(h, g)]
                     row[flat] = row.get(flat, 0) + coeff
-            row = {k: v for k, v in row.items() if v != 0}
-            if not row:
-                continue
-            denom = lcm(*(Fraction(v).denominator for v in row.values()))
-            basis.add_row({k: int(v * denom) for k, v in row.items()})
-    basis.reduce_fully()
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                basis.add_row(row)
     return DegreeEvaluation(
         n=n,
-        ambient_dim=ambient_dim,
+        ambient_dim=total,
         rank=basis.rank,
         _z=z,
         _offsets=offsets,
@@ -222,12 +236,21 @@ def _evaluate_uncached(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     )
 
 
-@lru_cache(maxsize=16)
 def evaluate_degree(z: PresentationMatrix, n: int) -> DegreeEvaluation:
-    """Evaluate the presented module at one degree (cached)."""
+    """Evaluate the presented module at one degree (cached).
+
+    The budget is checked on every call, before the cache is consulted,
+    so a cap lowered after a degree was cached still refuses it.
+    ``cache_info`` and ``cache_clear`` are those of the cache behind it.
+    """
     if n < 0:
         raise ValueError(f"negative degree {n}")
-    return _evaluate_uncached(z, n)
+    _check_budget(z, n)
+    return _evaluate(z, n)
+
+
+evaluate_degree.cache_info = _evaluate.cache_info
+evaluate_degree.cache_clear = _evaluate.cache_clear
 
 
 def dimension_at(z: PresentationMatrix, n: int) -> int:
@@ -320,7 +343,7 @@ def verify(z: PresentationMatrix, n: int | None = None) -> VerificationReport:
         checks=tuple(checks),
         invisible=invisible,
         oracle_dimension=dimension_at(z, n),
-        polynomial_dimension=dimension_polynomial(z)(n),
+        polynomial_dimension=dimension_polynomial(z, table)(n),
     )
 
 

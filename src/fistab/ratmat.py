@@ -8,12 +8,21 @@ Rows are stored dense, as tuples.
 Every rank and every inverse in the package comes from :class:`Echelon`,
 an incremental exact integer row echelon over sparse rows (dicts from
 column to nonzero value) with the content of each row divided out.  The
-transported matrices of the closed form are a few percent nonzero, and
-so are the relation matrices of the brute-force oracle, which feeds the
-same engine directly.  ``RationalMatrix.rank`` clears each row's
+basis is kept fully reduced as rows arrive: each row is zero at every
+other row's pivot, its pivot is its first column and its pivot value is
+positive.  That makes the basis canonical, the primitive integer form of
+the reduced row echelon form of the rows' span, whatever order the rows
+came in.  A new row costs one combination per pivot column in its
+support, and an independent one clears its pivot column from the rows
+already kept.  The oracle relies on the invariant to read the coordinate
+of an image vector on a basis row straight off that row's pivot.
+
+The transported matrices of the closed form are a few percent nonzero,
+and so are the relation matrices of the brute-force oracle, which feeds
+the same engine directly.  ``RationalMatrix.rank`` clears each row's
 denominators and feeds the row's nonzero entries to it;
 ``RationalMatrix.inverse`` feeds it the rows of [A | I] the same way and
-reads the inverse off the fully reduced echelon.
+reads the inverse off the reduced basis.
 
 Matrices with zero rows or zero columns are first-class: a matrix with no
 columns has rank 0 (so its corank equals its row count), and a matrix with
@@ -23,7 +32,6 @@ Matrices are immutable values; every operation returns a fresh matrix.
 """
 
 from fractions import Fraction
-from functools import reduce
 from itertools import compress
 from math import gcd, lcm
 
@@ -44,12 +52,13 @@ def _norm_row(row) -> tuple:
     return tuple(map(_norm, row))
 
 
-def _content(values) -> int:
-    return reduce(gcd, values)
-
-
 class Echelon:
-    """Incremental exact integer row echelon over sparse rows."""
+    """Incremental exact integer row echelon over sparse rows.
+
+    ``rows[pivots[c]]`` is the basis row with pivot column c: its first
+    column is c, its value there is positive, its content is 1, and it is
+    zero at every other pivot column.
+    """
 
     def __init__(self):
         self.rows: list[dict[int, int]] = []
@@ -68,27 +77,33 @@ class Echelon:
                 new[k] = w
             elif k in new:
                 del new[k]
-        if new:
-            c = _content(new.values())
-            if c > 1:
-                new = {k: v // c for k, v in new.items()}
+        c = gcd(*new.values())
+        if c > 1:
+            new = {k: v // c for k, v in new.items()}
         return new
 
     def add_row(self, row: dict[int, int]) -> bool:
-        """Reduce a row against the pivots; keep it if independent."""
-        while row:
-            col = min(row)
-            if col not in self.pivots:
-                break
+        """Reduce a row against the basis; keep it if independent.
+
+        The basis is kept fully reduced: every row is zero at every other
+        row's pivot, so the row needs one combination per pivot column in
+        its support, and no combination brings in another pivot column.
+        An independent row then clears its own pivot column from the rows
+        already kept.
+        """
+        for col in [c for c in row if c in self.pivots]:
             row = self._combine(row, self.rows[self.pivots[col]], col)
         if not row:
             return False
-        c = _content(row.values())
+        c = gcd(*row.values())
         lead = min(row)
         if row[lead] < 0:
             c = -c
         if c != 1:
             row = {k: v // c for k, v in row.items()}
+        for idx, other in enumerate(self.rows):
+            if lead in other:
+                self.rows[idx] = self._combine(other, row, lead)
         self.pivots[lead] = len(self.rows)
         self.rows.append(row)
         return True
@@ -96,14 +111,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def reduce_fully(self):
-        """Clear every pivot column from all other rows (reduced form)."""
-        for col in sorted(self.pivots, reverse=True):
-            keep = self.pivots[col]
-            for idx, row in enumerate(self.rows):
-                if idx != keep and col in row:
-                    self.rows[idx] = self._combine(row, self.rows[keep], col)
 
 
 class SingularMatrixError(ValueError):
@@ -225,8 +232,8 @@ class RationalMatrix:
         lcm d of its denominators on both sides, so it enters as
         [d A_i | d e_i]; row scaling leaves the inverse unchanged.  Every
         row is independent thanks to its identity entry, and A is
-        singular exactly when some pivot falls in the right half.  After
-        full reduction, the row pivoting on column c is a multiple of
+        singular exactly when some pivot falls in the right half.  In the
+        reduced basis, the row pivoting on column c is a multiple of
         [e_c | (A^-1)_c].
 
         Raises SingularMatrixError when A is not square or not invertible.
@@ -242,7 +249,6 @@ class RationalMatrix:
             echelon.add_row(entries)
         if any(col >= n for col in echelon.pivots):
             raise SingularMatrixError("matrix is singular")
-        echelon.reduce_fully()
         out = [None] * n
         for col, idx in echelon.pivots.items():
             row = echelon.rows[idx]

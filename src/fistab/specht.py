@@ -67,48 +67,60 @@ def specht_action(lam: Partition, sigma) -> RationalMatrix:
 # characters
 # ---------------------------------------------------------------------------
 
-def _beta_set(lam: Partition, length: int) -> tuple[int, ...]:
-    """First-column hook lengths padded to the given number of rows."""
-    padded = list(lam) + [0] * (length - len(lam))
-    return tuple(padded[i] + (length - 1 - i) for i in range(length))
-
-
-def _partition_from_beta(beta: list[int]) -> Partition:
-    beta = sorted(beta, reverse=True)
-    length = len(beta)
-    lam = [beta[i] - (length - 1 - i) for i in range(length)]
-    return tuple(part for part in lam if part > 0)
-
-
 @cache
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Character value of the irreducible lam on the class of cycle type mu.
 
     Recursive rim-hook removal: strip a hook of length mu_1 from lam in
     every possible way, flip the sign by the hook's height, and recurse on
-    the remaining class parts.  In beta-set form a hook removal is the
-    replacement of one first-column hook length b by b - mu_1, with sign
-    (-1)^(number of hook lengths jumped over).
+    the remaining class parts.  The arguments are checked here, once; the
+    recursion runs on partitions already checked.
     """
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"|{lam}| = {sum(lam)} but |{mu}| = {sum(mu)}")
+    return _strip_rim_hooks(lam, mu)
+
+
+def _strip_rim_hooks(lam: Partition, mu: Partition) -> int:
+    """mn_character on partitions of equal size, unchecked.
+
+    In beta-set form, the first-column hook lengths lam_i + len(lam) - i
+    in decreasing order, a hook removal moves one entry b down to
+    b - mu_1, and the hook's height is the number of entries it passes.
+    The recursion is cached in _rim_hook_character; the top-level call
+    is not, since mn_character caches it already.
+    """
     if not mu:
         return 1
     part, rest = mu[0], mu[1:]
-    beta = _beta_set(lam, len(lam))
-    beta_members = set(beta)
+    length = len(lam)
+    beta = [p + length - 1 - i for i, p in enumerate(lam)]
+    members = set(beta)
     total = 0
     for idx, b in enumerate(beta):
-        if b - part < 0 or (b - part) in beta_members:
+        c = b - part
+        if c < 0 or c in members:
             continue
-        crossed = sum(1 for c in beta if b - part < c < b)
-        new_beta = list(beta)
-        new_beta[idx] = b - part
-        smaller = _partition_from_beta(new_beta)
-        total += (-1) ** crossed * mn_character(smaller, rest)
+        k = idx + 1
+        while k < length and beta[k] > c:
+            k += 1
+        # rows idx+1 .. k-1 move up a row and lose a box; c becomes row k-1
+        smaller = (
+            lam[:idx]
+            + tuple(p - 1 for p in lam[idx + 1:k])
+            + (c - length + k,)
+            + lam[k:]
+        )
+        if k == length:
+            smaller = tuple(p for p in smaller if p)
+        value = _rim_hook_character(smaller, rest)
+        total += -value if (k - idx - 1) % 2 else value
     return total
+
+
+_rim_hook_character = cache(_strip_rim_hooks)
 
 
 __all__ = [

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fistab.combinatorics import (
     all_injections,
     class_representative,
+    class_size,
     compose,
     cycle_type,
     hook_length_count,
@@ -25,6 +27,7 @@ from fistab.oracle import (
 from fistab.multiplicity import onset_bound
 from fistab.presentation import FormalSum, PresentationMatrix
 from fistab.ratmat import RationalMatrix
+from fistab.specht import mn_character
 
 from conftest import (
     free_module,
@@ -68,6 +71,35 @@ def relation_matrix_at(z: PresentationMatrix, n: int) -> RationalMatrix:
     return RationalMatrix(out, ncols=ncols)
 
 
+def with_rational_terms(z: PresentationMatrix, rng: random.Random):
+    """z with every term's coefficient times a random non-integer rational."""
+    factors = [Fraction(c) for c in ("1/2", "-2/3", "3/4", "5/6", "-7/5")]
+    return PresentationMatrix(z.generator_degrees, z.relation_degrees, {
+        key: FormalSum(s.source, s.target, {
+            f: c * rng.choice(factors) for f, c in s.terms.items()
+        })
+        for key, s in z.entries.items()
+    })
+
+
+def pairwise_decompose(z: PresentationMatrix, n: int) -> dict:
+    """One character inner product per (lam, mu) pair, every class
+    included: the loop decompose ran before it weighted each class once."""
+    ev = evaluate_degree(z, n)
+    classes = partitions(n)
+    traces = {mu: ev.cokernel_trace(mu) for mu in classes}
+    result = {}
+    for lam in classes:
+        acc = sum(
+            class_size(mu) * traces[mu] * mn_character(lam, mu)
+            for mu in classes
+        )
+        count, remainder = divmod(acc, factorial(n))
+        assert remainder == 0 and count >= 0
+        result[lam] = count
+    return result
+
+
 E_DIMENSIONS = [0, 0, 0, 6, 18, 30, 44, 56, 76, 99, 125]
 
 E_DECOMPOSITIONS = {
@@ -103,6 +135,18 @@ class TestRelationMatrix:
         candidates = [e_presentation, torsion_presentation()] + [
             random_presentation(rng) for _ in range(10)
         ]
+        # non-integer coefficients, several generators, and r < g
+        rng = random.Random(17)
+        candidates += [
+            with_rational_terms(random_presentation(rng), rng) for _ in range(6)
+        ] + [random_low_relation_presentation(rng) for _ in range(6)]
+        assert any(z.num_generators > 1 for z in candidates)
+        assert any(
+            c.denominator > 1
+            for z in candidates
+            for s in z.entries.values()
+            for c in s.terms.values()
+        )
         for z in candidates:
             for n in range(6):
                 dense = relation_matrix_at(z, n)
@@ -143,6 +187,17 @@ class TestDimension:
             dimension_at(e_presentation, 6)
         monkeypatch.delenv("FISTAB_ORACLE_CAP")
         evaluate_degree.cache_clear()
+
+    def test_lowered_cap_refuses_a_cached_degree(self, e_presentation, monkeypatch):
+        evaluate_degree.cache_clear()
+        assert dimension_at(e_presentation, 6) == 44
+        monkeypatch.setenv("FISTAB_ORACLE_CAP", "10")
+        with pytest.raises(ResourceCapError):
+            dimension_at(e_presentation, 6)
+        monkeypatch.delenv("FISTAB_ORACLE_CAP")
+        assert dimension_at(e_presentation, 6) == 44
+        info = evaluate_degree.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
     def test_relation_column_budget(self):
         # low-degree generators keep the row count tiny, but the relation
@@ -234,6 +289,15 @@ class TestDecompose:
                     for lam, c in decomposition.items()
                 )
                 assert total == dimension_at(z, n)
+
+    def test_matches_pairwise_inner_products(self, e_presentation):
+        rng = random.Random(59)
+        candidates = [e_presentation, free_module(2), torsion_presentation()] + [
+            random_presentation(rng) for _ in range(3)
+        ] + [random_low_relation_presentation(rng) for _ in range(3)]
+        for z in candidates:
+            for n in range(9):
+                assert decompose_at(z, n) == pairwise_decompose(z, n)
 
     def test_free_modules_match_strip_counts(self):
         # multiplicity of each shape in the free module counts tableaux of

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fistab.ratmat import RationalMatrix, SingularMatrixError
+from fistab.ratmat import Echelon, RationalMatrix, SingularMatrixError
 
 
 def gauss_rank(rows, ncols) -> int:
@@ -123,6 +124,46 @@ class TestRank:
             ]
             m = RationalMatrix(rows, ncols=nc)
             assert m.rank() == gauss_rank(rows, nc)
+
+
+def sparse(row) -> dict[int, int]:
+    return {j: v for j, v in enumerate(row) if v}
+
+
+class TestEchelon:
+    @settings(max_examples=300, deadline=None)
+    @given(small_matrices)
+    def test_basis_stays_reduced(self, data):
+        # after every insert each basis row starts at its own positive
+        # pivot, is zero at every other pivot and has content 1, and the
+        # rank is that of the rows added so far
+        rows, ncols = data
+        echelon = Echelon()
+        for count, row in enumerate(rows, start=1):
+            before = echelon.rank
+            added = echelon.add_row(sparse(row))
+            assert added == (echelon.rank == before + 1)
+            assert echelon.rank == gauss_rank(rows[:count], ncols)
+            assert sorted(echelon.pivots.values()) == list(range(echelon.rank))
+            for col, idx in echelon.pivots.items():
+                basis_row = echelon.rows[idx]
+                assert min(basis_row) == col and basis_row[col] > 0
+                assert gcd(*basis_row.values()) == 1
+                assert not (set(echelon.pivots) - {col}) & set(basis_row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices, st.randoms(use_true_random=False))
+    def test_basis_does_not_depend_on_row_order(self, data, rng):
+        rows, _ = data
+        shuffled = list(rows)
+        rng.shuffle(shuffled)
+        bases = []
+        for order in (rows, shuffled):
+            echelon = Echelon()
+            for row in order:
+                echelon.add_row(sparse(row))
+            bases.append({col: echelon.rows[idx] for col, idx in echelon.pivots.items()})
+        assert bases[0] == bases[1]
 
 
 class TestInverse:

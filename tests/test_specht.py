@@ -30,6 +30,27 @@ def character_of_action(lam, mu):
     return sum(action[i, i] for i in range(action.nrows))
 
 
+def beta_set_character(lam, mu):
+    """Murnaghan-Nakayama by beta sets, recomputing the sorted beta set
+    and the partition at every step; the reference for mn_character."""
+    if not mu:
+        return 1
+    beta = [part + len(lam) - 1 - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beta:
+        c = b - mu[0]
+        if c < 0 or c in beta:
+            continue
+        crossed = sum(1 for v in beta if c < v < b)
+        moved = sorted((c if v == b else v for v in beta), reverse=True)
+        smaller = tuple(
+            v - (len(moved) - 1 - i) for i, v in enumerate(moved)
+            if v - (len(moved) - 1 - i) > 0
+        )
+        total += (-1) ** crossed * beta_set_character(smaller, mu[1:])
+    return total
+
+
 class TestRawMatrices:
     def test_single_box_shapes(self):
         assert specht_raw((1,), (1,)) == RationalMatrix([[1]])
@@ -146,6 +167,18 @@ class TestCharacters:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             mn_character((2,), (1, 1, 1))
+
+    def test_rejects_a_non_partition(self):
+        with pytest.raises(ValueError):
+            mn_character((2, 1), (1, 2))
+        with pytest.raises(ValueError):
+            mn_character((3, 0), (2, 1))
+
+    def test_matches_beta_set_reference(self):
+        for n in range(11):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    assert mn_character(lam, mu) == beta_set_character(lam, mu)
 
     def test_first_orthogonality(self):
         for n in range(1, 9):
