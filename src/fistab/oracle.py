@@ -16,21 +16,31 @@ its basis fully reduced as rows arrive: every basis row is zero at every
 other row's pivot.  The trace on the relation image relies on that
 invariant, because it makes the coordinate of an image vector on a basis
 row the vector's value at that row's pivot, over the pivot value.  The
-dense relation matrix is built only in the tests, as the reference the
-ranks are checked against.
+first trace at a degree groups the basis rows by pivot value into a
+plan, so each later trace sums plain ints and makes one Fraction per
+pivot value.  The dense relation matrix is built only in the tests, as
+the reference the ranks are checked against.
+
+Decomposition takes one trace per class and adds in that class's whole
+character column (:func:`fistab.specht.character_column`), weighted by
+the class size times the trace, so every multiplicity comes out of one
+pass over the classes.
 
 Because work grows quickly with the degree, evaluation refuses degrees
 beyond a budget: ambient rows above the cap (default 5000) or relation
-columns above ten times it.  Override with the FISTAB_ORACLE_CAP
-environment variable.  The budget is checked on every call, before the
-cache of evaluated degrees is consulted.
+columns above ten times it.  Decomposition also refuses a degree whose
+class count p(n), squared, exceeds a hundred times the cap, before any
+trace is taken: p(n)^2 is the number of character values it reads.  At
+the default cap that admits n <= 20 and refuses n = 21.  Override with
+the FISTAB_ORACLE_CAP environment variable.  The budget is checked on
+every call, before the cache of evaluated degrees is consulted.
 """
 
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 
 from .combinatorics import (
@@ -47,7 +57,7 @@ from .combinatorics import (
 from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_bound
 from .presentation import PresentationMatrix
 from .ratmat import Echelon
-from .specht import mn_character
+from .specht import character_column
 
 DEFAULT_ROW_CAP = 5000
 ROW_CAP_ENV = "FISTAB_ORACLE_CAP"
@@ -96,29 +106,44 @@ class DegreeEvaluation:
     def cokernel_dim(self) -> int:
         return self.ambient_dim - self.rank
 
-    def _flat(self, gen: int, injection) -> int:
-        return self._offsets[gen] + self._index[gen][injection]
+    @cached_property
+    def _trace_plan(self) -> tuple:
+        """The reduced image basis, grouped by pivot value, for traces.
 
-    def _unflat(self, flat: int):
-        gen = bisect_right(self._offsets, flat) - 1
-        return gen, self._injections[gen][flat - self._offsets[gen]]
+        Each pivot value maps to one (row, generator offset, index dict,
+        injection) entry per basis row with that pivot value, the
+        injection being the one at the row's pivot.  Built on the first
+        trace, so evaluating a degree never pays for it.
+        """
+        groups: dict[int, list] = {}
+        for col, idx in self._basis.pivots.items():
+            row = self._basis.rows[idx]
+            gen = bisect_right(self._offsets, col) - 1
+            offset = self._offsets[gen]
+            injection = self._injections[gen][col - offset]
+            groups.setdefault(row[col], []).append(
+                (row, offset, self._index[gen], injection)
+            )
+        return tuple(groups.items())
 
     def _image_trace(self, sigma) -> Fraction:
         """Trace of a permutation restricted to the relation image.
 
         The image is stable under the action.  The basis is fully
         reduced, so the coefficient of basis row l in any image vector v
-        is v at l's pivot coordinate, divided by the pivot value.
+        is v at l's pivot coordinate, divided by the pivot value.  Those
+        values are summed per pivot value, one Fraction each.
         """
-        sigma_inv = inverse(sigma)
+        # point v -> sigma^-1(v), so mapping an injection composes it
+        sigma_inv = (0, *inverse(sigma)).__getitem__
         total = Fraction(0)
-        for col, idx in self._basis.pivots.items():
-            row = self._basis.rows[idx]
-            gen, injection = self._unflat(col)
-            moved = self._flat(gen, compose(sigma_inv, injection))
-            value = row.get(moved, 0)
+        for pivot, entries in self._trace_plan:
+            value = sum(
+                row.get(offset + index[tuple(map(sigma_inv, injection))], 0)
+                for row, offset, index, injection in entries
+            )
             if value:
-                total += Fraction(value, row[col])
+                total += Fraction(value, pivot)
         return total
 
     def permutation_trace(self, sigma) -> int:
@@ -146,23 +171,30 @@ class DegreeEvaluation:
     def decompose(self) -> dict[Partition, int]:
         """Multiplicity of every irreducible at this degree.
 
-        Standard character inner products against the cokernel character,
-        each class weighted once by its size times its trace; classes with
-        trace 0 add nothing and are skipped.  A non-integer or negative
-        multiplicity indicates an internal inconsistency and raises.
+        Standard character inner products against the cokernel character.
+        Each class is weighted once by its size times its trace, and its
+        whole character column, every irreducible at once, is added in
+        with that weight; classes with trace 0 add nothing and are
+        skipped.  A degree with too many classes is refused before any
+        trace is taken.  A non-integer or negative multiplicity indicates
+        an internal inconsistency and raises.
         """
         n = self.n
+        _check_class_budget(n)
         classes = partitions(n)
-        traces = {mu: self.cokernel_trace(mu) for mu in classes}
-        weights = {mu: class_size(mu) * t for mu, t in traces.items() if t}
+        acc = [0] * len(classes)
+        for mu in classes:
+            trace = self.cokernel_trace(mu)
+            if trace:
+                weight = class_size(mu) * trace
+                acc = [a + weight * c for a, c in zip(acc, character_column(mu))]
         order = factorial(n)
         result = {}
-        for lam in classes:
-            acc = sum(w * mn_character(lam, mu) for mu, w in weights.items())
-            count, remainder = divmod(acc, order)
+        for lam, total in zip(classes, acc):
+            count, remainder = divmod(total, order)
             if remainder != 0 or count < 0:
                 raise ArithmeticError(
-                    f"multiplicity of {lam} came out as {Fraction(acc, order)}"
+                    f"multiplicity of {lam} came out as {Fraction(total, order)}"
                 )
             result[lam] = count
         return result
@@ -184,6 +216,43 @@ def _check_budget(z: PresentationMatrix, n: int) -> None:
             f"degree {n} needs {relation_dim} relation columns, budget is "
             f"{10 * cap} (raise {ROW_CAP_ENV} to override)"
         )
+
+
+def _partition_counts():
+    """Yield p(0), p(1), p(2), ... by Euler's pentagonal number recurrence."""
+    counts = [1]
+    yield 1
+    while True:
+        m = len(counts)
+        total = 0
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * counts[m - k * (3 * k + 1) // 2]
+            k += 1
+        counts.append(total)
+        yield total
+
+
+def _check_class_budget(n: int) -> None:
+    """Refuse to decompose a degree with more than sqrt(100 * cap) classes.
+
+    Decomposing takes one character value per (shape, class) pair, p(n)^2
+    of them.  The counts p(m) grow with m and are taken from m = 0 up,
+    stopping at the first one over the budget, so a huge degree is refused
+    without enumerating its partitions.
+    """
+    budget = 100 * _row_cap()
+    for m, classes in zip(range(n + 1), _partition_counts()):
+        if classes * classes > budget:
+            at_least = "" if m == n else "at least "
+            raise ResourceCapError(
+                f"degree {n} has {at_least}{classes} classes, and decomposing "
+                f"it needs {at_least}{classes}^2 = {classes * classes} character "
+                f"values, budget is {budget} (raise {ROW_CAP_ENV} to override)"
+            )
 
 
 @lru_cache(maxsize=16)

@@ -1,11 +1,20 @@
-"""Irreducible symmetric-group representations by explicit matrices.
+"""Irreducible symmetric-group representations and their characters.
 
-Two routes to the same characters live here.  ``specht_action`` builds the
-irreducible indexed by a partition as honest matrices acting on the span
-of its standard tableaux; ``mn_character`` computes character values
-recursively by rim-hook removal (Murnaghan-Nakayama).  Their agreement is
-a test, not an assumption: the trace of ``specht_action`` on each class
-is computed in the tests and compared with ``mn_character``.
+Characters are reached three ways, and agreement among them is a test,
+not an assumption:
+
+- matrices: ``specht_action`` builds the irreducible indexed by a
+  partition as honest matrices acting on the span of its standard
+  tableaux, and a character is the trace of one of them (computed in the
+  tests only);
+- pointwise rim hooks: ``mn_character`` computes one value chi_lam(mu)
+  by recursive rim-hook removal (Murnaghan-Nakayama), cached per pair;
+- whole columns: ``character_column`` computes chi(mu) for every shape
+  of |mu| at once, pushing the column of mu[1:] through a cached table of
+  the rim hooks of length mu_1 of every shape.  The oracle decomposes
+  this way.
+
+Both rim-hook routes strip hooks with the one helper ``_rim_hooks``.
 
 The matrix model composes contravariantly: acting by sigma and then tau
 multiplies to the matrix of tau o sigma.
@@ -19,6 +28,7 @@ from .combinatorics import (
     check_partition,
     col_word,
     compose,
+    partitions,
     row_word,
     standard_tableaux,
 )
@@ -67,6 +77,36 @@ def specht_action(lam: Partition, sigma) -> RationalMatrix:
 # characters
 # ---------------------------------------------------------------------------
 
+def _rim_hooks(lam: Partition, k: int):
+    """Yield (smaller, sign) for every rim hook of length k in lam.
+
+    In beta-set form, the first-column hook lengths lam_i + len(lam) - i
+    in decreasing order, a hook removal moves one entry b down to b - k,
+    and the hook's height, the exponent of the sign, is the number of
+    entries it passes.  smaller is lam with the hook removed.
+    """
+    length = len(lam)
+    beta = [p + length - 1 - i for i, p in enumerate(lam)]
+    members = set(beta)
+    for idx, b in enumerate(beta):
+        c = b - k
+        if c < 0 or c in members:
+            continue
+        j = idx + 1
+        while j < length and beta[j] > c:
+            j += 1
+        # rows idx+1 .. j-1 move up a row and lose a box; c becomes row j-1
+        smaller = (
+            lam[:idx]
+            + tuple(p - 1 for p in lam[idx + 1:j])
+            + (c - length + j,)
+            + lam[j:]
+        )
+        if j == length:
+            smaller = tuple(p for p in smaller if p)
+        yield smaller, -1 if (j - idx - 1) % 2 else 1
+
+
 @cache
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Character value of the irreducible lam on the class of cycle type mu.
@@ -86,44 +126,55 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 def _strip_rim_hooks(lam: Partition, mu: Partition) -> int:
     """mn_character on partitions of equal size, unchecked.
 
-    In beta-set form, the first-column hook lengths lam_i + len(lam) - i
-    in decreasing order, a hook removal moves one entry b down to
-    b - mu_1, and the hook's height is the number of entries it passes.
     The recursion is cached in _rim_hook_character; the top-level call
     is not, since mn_character caches it already.
     """
     if not mu:
         return 1
-    part, rest = mu[0], mu[1:]
-    length = len(lam)
-    beta = [p + length - 1 - i for i, p in enumerate(lam)]
-    members = set(beta)
-    total = 0
-    for idx, b in enumerate(beta):
-        c = b - part
-        if c < 0 or c in members:
-            continue
-        k = idx + 1
-        while k < length and beta[k] > c:
-            k += 1
-        # rows idx+1 .. k-1 move up a row and lose a box; c becomes row k-1
-        smaller = (
-            lam[:idx]
-            + tuple(p - 1 for p in lam[idx + 1:k])
-            + (c - length + k,)
-            + lam[k:]
-        )
-        if k == length:
-            smaller = tuple(p for p in smaller if p)
-        value = _rim_hook_character(smaller, rest)
-        total += -value if (k - idx - 1) % 2 else value
-    return total
+    rest = mu[1:]
+    return sum(
+        sign * _rim_hook_character(smaller, rest)
+        for smaller, sign in _rim_hooks(lam, mu[0])
+    )
 
 
 _rim_hook_character = cache(_strip_rim_hooks)
 
 
+@cache
+def _hook_table(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The k-rim hooks of every shape of n, by position.
+
+    Entry i lists, for each k-rim hook of partitions(n)[i], the position
+    of the remaining shape in partitions(n - k) and the hook's sign.
+    """
+    position = {lam: i for i, lam in enumerate(partitions(n - k))}
+    return tuple(
+        tuple((position[smaller], sign) for smaller, sign in _rim_hooks(lam, k))
+        for lam in partitions(n)
+    )
+
+
+@cache
+def character_column(mu: Partition) -> tuple[int, ...]:
+    """Every irreducible character on the class of cycle type mu.
+
+    Entry i is mn_character(partitions(|mu|)[i], mu).  Removing a rim hook
+    of length mu_1 turns the column of mu into the column of mu[1:],
+    read through _hook_table; the column of the empty class is (1,).
+    """
+    mu = check_partition(mu)
+    if not mu:
+        return (1,)
+    below = character_column(mu[1:])
+    return tuple(
+        sum(sign * below[j] for j, sign in hooks)
+        for hooks in _hook_table(sum(mu), mu[0])
+    )
+
+
 __all__ = [
+    "character_column",
     "mn_character",
     "specht_action",
     "specht_raw",

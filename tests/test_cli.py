@@ -233,6 +233,23 @@ class TestCommands:
         monkeypatch.delenv("FISTAB_ORACLE_CAP")
         evaluate_degree.cache_clear()
 
+    def test_class_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # M(0) has one ambient row at every degree, so only the class
+        # budget stands between decompose and p(n)^2 character values
+        path = tmp_path / "m0.fipres"
+        path.write_text("generators: 0\nrelations:\n", encoding="utf-8")
+        monkeypatch.delenv("FISTAB_ORACLE_CAP", raising=False)
+        assert main(["decompose", str(path), "--n", "21"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: degree 21 has 792 classes")
+        assert "FISTAB_ORACLE_CAP" in err
+        # 792^2 = 627264 fits in 100 times a cap of 6273
+        monkeypatch.setenv("FISTAB_ORACLE_CAP", "6273")
+        assert main(["decompose", str(path), "--n", "21", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        nonzero = [row for row in payload["decomposition"] if row["multiplicity"]]
+        assert nonzero == [{"shape": [21], "multiplicity": 1}]
+
     @pytest.mark.parametrize("raw", ["ten", "2.5", "0", "-1"])
     def test_bad_cap_exit_code(self, e_file, capsys, monkeypatch, raw):
         from fistab.oracle import evaluate_degree

@@ -1,8 +1,11 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fistab.combinatorics import (
     all_injections,
@@ -10,13 +13,16 @@ from fistab.combinatorics import (
     class_size,
     compose,
     cycle_type,
+    falling_factorial,
     hook_length_count,
     horizontal_strip_extensions,
     inverse,
     partitions,
     symmetric_group,
 )
+from fistab.cli import parse_presentation
 from fistab.oracle import (
+    DegreeEvaluation,
     ResourceCapError,
     cokernel_trace,
     decompose_at,
@@ -30,6 +36,7 @@ from fistab.ratmat import RationalMatrix
 from fistab.specht import mn_character
 
 from conftest import (
+    E_FILE,
     free_module,
     random_low_relation_presentation,
     random_presentation,
@@ -98,6 +105,48 @@ def pairwise_decompose(z: PresentationMatrix, n: int) -> dict:
         assert remainder == 0 and count >= 0
         result[lam] = count
     return result
+
+
+def per_pivot_trace(ev, sigma) -> Fraction:
+    """permutation_trace as it ran before the pivot plan: each pivot's
+    injection found by bisecting the generator offsets, and one Fraction
+    per pivot of the reduced basis."""
+    sigma_inv = inverse(sigma)
+    image = Fraction(0)
+    for col, idx in ev._basis.pivots.items():
+        row = ev._basis.rows[idx]
+        gen = bisect_right(ev._offsets, col) - 1
+        injection = ev._injections[gen][col - ev._offsets[gen]]
+        moved = ev._offsets[gen] + ev._index[gen][compose(sigma_inv, injection)]
+        value = row.get(moved, 0)
+        if value:
+            image += Fraction(value, row[col])
+    fixed = sum(1 for i, v in enumerate(sigma, start=1) if v == i)
+    ambient = sum(falling_factorial(fixed, x) for x in ev._z.generator_degrees)
+    return ambient - image
+
+
+# The benchmark's triangle presentation (bench/workloads.py).
+TRIANGLE = parse_presentation(
+    "generators: 2\nrelations: 3\nentry 1 1 : [1 2] + [2 3] + [3 1]\n"
+)
+
+# Rational coefficients whose reduced image basis has pivot values 5, 7,
+# 10, 35 and 70 at degree 3, and 1 and 2 at degrees 4 to 6.
+NON_UNIT_PIVOTS = PresentationMatrix((1, 2), (3,), {
+    (0, 0): FormalSum(1, 3, {(1,): Fraction(3, 2), (3,): Fraction(-1, 2)}),
+    (1, 0): FormalSum(2, 3, {(2, 1): 1, (3, 2): Fraction(1, 2)}),
+})
+
+
+def _trace_presentations():
+    rng = random.Random(67)
+    return [parse_presentation(E_FILE), TRIANGLE, NON_UNIT_PIVOTS] + [
+        with_rational_terms(random_presentation(rng), rng) for _ in range(4)
+    ] + [random_low_relation_presentation(rng) for _ in range(3)]
+
+
+TRACE_PRESENTATIONS = _trace_presentations()
 
 
 E_DIMENSIONS = [0, 0, 0, 6, 18, 30, 44, 56, 76, 99, 125]
@@ -268,6 +317,30 @@ class TestTraces:
                     assert ev.permutation_trace(conj) == ev.permutation_trace(rep)
 
 
+class TestTracePlan:
+    def test_some_pivot_value_is_not_one(self):
+        ev = evaluate_degree(NON_UNIT_PIVOTS, 3)
+        pivots = {ev._basis.rows[idx][col] for col, idx in ev._basis.pivots.items()}
+        assert pivots - {1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_per_pivot_loop(self, data):
+        z = data.draw(st.sampled_from(TRACE_PRESENTATIONS))
+        n = data.draw(st.integers(0, 6))
+        sigma = tuple(data.draw(st.permutations(range(1, n + 1))))
+        ev = evaluate_degree(z, n)
+        assert ev.permutation_trace(sigma) == per_pivot_trace(ev, sigma)
+
+    def test_evaluation_builds_no_plan(self, e_presentation):
+        evaluate_degree.cache_clear()
+        ev = evaluate_degree(e_presentation, 5)
+        assert dimension_at(e_presentation, 5) == 30
+        assert "_trace_plan" not in vars(ev)
+        ev.cokernel_trace((2, 2, 1))
+        assert "_trace_plan" in vars(ev)
+
+
 class TestDecompose:
     @pytest.mark.parametrize("n", sorted(E_DECOMPOSITIONS))
     def test_running_example(self, e_presentation, n):
@@ -298,6 +371,29 @@ class TestDecompose:
         for z in candidates:
             for n in range(9):
                 assert decompose_at(z, n) == pairwise_decompose(z, n)
+        for n in range(10, 13):
+            assert decompose_at(TRIANGLE, n) == pairwise_decompose(TRIANGLE, n)
+
+    def test_class_budget(self, monkeypatch):
+        # p(20) = 627 and p(21) = 792 classes; the default cap of 5000
+        # allows 500000 (shape, class) pairs
+        monkeypatch.delenv("FISTAB_ORACLE_CAP", raising=False)
+        z = free_module(0)
+        with pytest.raises(ResourceCapError, match="792 classes"):
+            decompose_at(z, 21)
+        with pytest.raises(ResourceCapError, match="at least 792 classes"):
+            decompose_at(z, 10**6)
+        monkeypatch.setenv("FISTAB_ORACLE_CAP", "6272")
+        with pytest.raises(ResourceCapError, match="FISTAB_ORACLE_CAP"):
+            decompose_at(z, 21)
+
+    def test_class_budget_is_checked_before_any_trace(self, monkeypatch):
+        def no_trace(self, mu):
+            raise AssertionError("trace taken before the class budget")
+
+        monkeypatch.setattr(DegreeEvaluation, "cokernel_trace", no_trace)
+        with pytest.raises(ResourceCapError):
+            decompose_at(free_module(1), 21)
 
     def test_free_modules_match_strip_counts(self):
         # multiplicity of each shape in the free module counts tableaux of

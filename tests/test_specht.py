@@ -17,7 +17,12 @@ from fistab.combinatorics import (
     symmetric_group,
 )
 from fistab.ratmat import RationalMatrix
-from fistab.specht import mn_character, specht_action, specht_raw
+from fistab.specht import (
+    character_column,
+    mn_character,
+    specht_action,
+    specht_raw,
+)
 
 
 def character_of_action(lam, mu):
@@ -198,3 +203,43 @@ class TestCharacters:
             for lam in partitions(n):
                 for mu in partitions(n):
                     assert character_of_action(lam, mu) == mn_character(lam, mu)
+
+
+class TestColumns:
+    def test_matches_pointwise_characters(self):
+        for n in range(11):
+            shapes = partitions(n)
+            for mu in shapes:
+                column = character_column(mu)
+                assert len(column) == len(shapes)
+                for lam, value in zip(shapes, column):
+                    assert value == mn_character(lam, mu)
+                    assert value == beta_set_character(lam, mu)
+
+    def test_column_orthogonality(self):
+        # sum over shapes of chi(mu) chi(nu) is the centralizer order of
+        # mu when the classes agree, and 0 otherwise
+        for n in range(10):
+            classes = partitions(n)
+            for mu in classes:
+                for nu in classes:
+                    total = sum(
+                        a * b
+                        for a, b in zip(character_column(mu), character_column(nu))
+                    )
+                    expected = factorial(n) // class_size(mu) if mu == nu else 0
+                    assert total == expected
+
+    def test_identity_class_gives_dimensions(self):
+        for n in range(11):
+            ones = tuple([1] * n)
+            assert character_column(ones) == tuple(
+                hook_length_count(lam) for lam in partitions(n)
+            )
+
+    def test_empty_class(self):
+        assert character_column(()) == (1,)
+
+    def test_rejects_a_non_partition(self):
+        with pytest.raises(ValueError):
+            character_column((1, 2))
