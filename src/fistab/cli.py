@@ -22,14 +22,19 @@ import re
 import sys
 from fractions import Fraction
 
+from .budget import ResourceCapError, check_cells
 from .combinatorics import (
     check_partition,
+    hook_length_count,
     monotone_injections,
     partitions,
-    standard_tableaux,
 )
-from .multiplicity import dimension_polynomial, eventual_multiplicities
-from .oracle import ResourceCapError, decompose_at, dimension_at, verify
+from .multiplicity import (
+    check_transport_size,
+    dimension_polynomial,
+    eventual_multiplicities,
+)
+from .oracle import decompose_at, dimension_at, verify
 from .presentation import (
     FormalSum,
     PresentationMatrix,
@@ -331,13 +336,14 @@ def _cmd_specht(args) -> int:
             f"shape {list(shape)} has size {sum(shape)} but the permutation "
             f"moves {len(perm)} points"
         )
+    check_cells(shape, hook_length_count(shape))
     print(specht_action(shape, perm))
     return 0
 
 
 def _amatrix_labels(z: PresentationMatrix, shape) -> tuple[list[str], list[str]]:
     k = sum(shape)
-    dim = len(standard_tableaux(shape))
+    dim = hook_length_count(shape)
 
     def injection_label(p) -> str:
         if not p:
@@ -362,6 +368,7 @@ def _amatrix_labels(z: PresentationMatrix, shape) -> tuple[list[str], list[str]]
 def _cmd_amatrix(args) -> int:
     z = _load(args.file)
     shape = _parse_shape(args.shape)
+    check_transport_size(z, shape)
     matrix = induced_raw_presentation(shape, z)
     row_labels, col_labels = _amatrix_labels(z, shape)
     cells = [[str(matrix[i, j]) for j in range(matrix.ncols)]

@@ -15,7 +15,7 @@ All functions are pure; all values are immutable.
 
 from functools import cache
 from itertools import combinations, permutations as _permutations
-from math import factorial
+from math import factorial, perm
 
 
 Partition = tuple[int, ...]
@@ -65,28 +65,6 @@ def sign(p) -> int:
     return s
 
 
-def symmetric_group(k: int):
-    """All permutations of [k], in lexicographic order."""
-    return list(_permutations(range(1, k + 1)))
-
-
-def cycle_type(p) -> Partition:
-    """Cycle type of a permutation, as a partition of len(p)."""
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = p[v] - 1
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
 def class_representative(mu: Partition) -> tuple[int, ...]:
     """Canonical permutation of cycle type mu.
 
@@ -105,21 +83,26 @@ def class_representative(mu: Partition) -> tuple[int, ...]:
 def monotone_injections(k: int, n: int) -> list[tuple[int, ...]]:
     """All strictly increasing injections [k] -> [n], lexicographically.
 
-    Empty when k > n; the single empty map when k = 0.
+    Empty when k > n; the single empty map when k = 0, for any n.
     """
     if k < 0:
         raise ValueError(f"negative arity {k}")
-    return list(combinations(range(1, n + 1), k))
+    if k > n:
+        return []
+    return list(combinations(range(1, n + 1), k)) if k else [()]
 
 
 def all_injections(k: int, n: int) -> list[tuple[int, ...]]:
     """All injections [k] -> [n] in lexicographic order.
 
-    There are n(n-1)...(n-k+1) of them.
+    There are n(n-1)...(n-k+1) of them: none when k > n, and the single
+    empty map when k = 0, for any n.
     """
     if k < 0:
         raise ValueError(f"negative arity {k}")
-    return list(_permutations(range(1, n + 1), k))
+    if k > n:
+        return []
+    return list(_permutations(range(1, n + 1), k)) if k else [()]
 
 
 def sorting_permutation(p) -> tuple[int, ...]:
@@ -182,30 +165,19 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
-def contains(inner: Partition, outer: Partition) -> bool:
-    """Whether inner sits inside outer as a diagram."""
-    return len(inner) <= len(outer) and all(
-        a <= b for a, b in zip(inner, outer)
+def _is_horizontal_strip_extension(inner: Partition, outer: Partition) -> bool:
+    """True iff outer minus inner is a horizontal strip: outer has at most
+    one more part than inner, and outer_1 >= inner_1 >= outer_2 >= ...
+    >= inner_l >= outer_(l+1) interlace, l = len(inner)."""
+    return len(inner) <= len(outer) <= len(inner) + 1 and all(
+        a >= b >= c for a, b, c in zip(outer, inner, outer[1:] + (0,))
     )
-
-
-def is_horizontal_strip_extension(inner: Partition, outer: Partition) -> bool:
-    """True iff inner is contained in outer and outer minus inner has at
-    most one box in each column."""
-    if not contains(inner, outer):
-        return False
-    for j in range(1, (outer[0] if outer else 0) + 1):
-        inner_col = sum(1 for part in inner if part >= j)
-        outer_col = sum(1 for part in outer if part >= j)
-        if outer_col - inner_col > 1:
-            return False
-    return True
 
 
 def horizontal_strip_extensions(lam: Partition, size: int) -> list[Partition]:
     """All partitions of the given size extending lam by a horizontal strip."""
     return [
-        mu for mu in partitions(size) if is_horizontal_strip_extension(lam, mu)
+        mu for mu in partitions(size) if _is_horizontal_strip_extension(lam, mu)
     ]
 
 
@@ -306,10 +278,7 @@ def box_sign(rows, cols) -> int:
 
 def falling_factorial(n: int, k: int) -> int:
     """n (n-1) ... (n-k+1); the number of injections [k] -> [n]."""
-    product = 1
-    for i in range(k):
-        product *= n - i
-    return product
+    return perm(n, k)
 
 
 __all__ = [
@@ -323,14 +292,11 @@ __all__ = [
     "col_word",
     "compose",
     "conjugate",
-    "contains",
-    "cycle_type",
     "falling_factorial",
     "hook_length_count",
     "horizontal_strip_extensions",
     "identity",
     "inverse",
-    "is_horizontal_strip_extension",
     "monotone_injections",
     "monotone_part",
     "partitions",
@@ -338,5 +304,4 @@ __all__ = [
     "sign",
     "sorting_permutation",
     "standard_tableaux",
-    "symmetric_group",
 ]

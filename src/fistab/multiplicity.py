@@ -6,14 +6,17 @@ decomposition of a finitely presented FI-module stops changing except
 for the growing top rows, and its dimension follows an exact
 polynomial.  Both are read off from coranks of
 the transported presentation matrices, one per partition up to the
-largest generator degree.
+largest generator degree.  Every shape's matrix is sized before the
+first one is built, and a shape over the cell budget of
+:func:`fistab.budget.check_cells` refuses the whole table.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
-from .combinatorics import Partition, partitions
+from .budget import check_cells
+from .combinatorics import Partition, hook_length_count, partitions
 from .presentation import PresentationMatrix, induced_raw_presentation
 
 
@@ -47,12 +50,31 @@ class MultiplicityTable:
         return ((lam, self.counts[lam]) for lam in self.shapes())
 
 
+def check_transport_size(z: PresentationMatrix, lam: Partition) -> None:
+    """Refuse shape lam if its transported matrix of z is over the budget.
+
+    The matrix has sum_i C(x_i, |lam|) block rows and sum_j C(y_j, |lam|)
+    block columns, each block f^lam square.  With no blocks at all it is
+    empty, and f^lam is not computed.
+    """
+    k = sum(lam)
+    row_blocks = sum(comb(x, k) for x in z.generator_degrees)
+    col_blocks = sum(comb(y, k) for y in z.relation_degrees)
+    if row_blocks or col_blocks:
+        check_cells(lam, hook_length_count(lam), row_blocks, col_blocks)
+
+
 def eventual_multiplicities(z: PresentationMatrix) -> MultiplicityTable:
-    """Corank of the transported presentation, for every relevant shape."""
-    counts = {}
+    """Corank of the transported presentation, for every relevant shape.
+
+    Every shape is sized, smallest first, before the first is built.
+    """
+    shapes = []
     for size in range(z.max_generator_degree + 1):
         for lam in partitions(size):
-            counts[lam] = induced_raw_presentation(lam, z).corank()
+            check_transport_size(z, lam)
+            shapes.append(lam)
+    counts = {lam: induced_raw_presentation(lam, z).corank() for lam in shapes}
     return MultiplicityTable(
         counts, z.max_generator_degree, z.max_relation_degree
     )
@@ -178,6 +200,7 @@ def dimension_polynomial(
 __all__ = [
     "DimensionPolynomial",
     "MultiplicityTable",
+    "check_transport_size",
     "dimension_polynomial",
     "eventual_multiplicities",
     "onset_bound",

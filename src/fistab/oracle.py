@@ -32,17 +32,17 @@ columns above ten times it.  Decomposition also refuses a degree whose
 class count p(n), squared, exceeds a hundred times the cap, before any
 trace is taken: p(n)^2 is the number of character values it reads.  At
 the default cap that admits n <= 20 and refuses n = 21.  Override with
-the FISTAB_ORACLE_CAP environment variable.  The budget is checked on
+FISTAB_ORACLE_CAP (:mod:`fistab.budget`).  The budget is checked on
 every call, before the cache of evaluated degrees is consulted.
 """
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
 
+from .budget import ROW_CAP_ENV, ResourceCapError, figure, row_cap
 from .combinatorics import (
     Partition,
     all_injections,
@@ -58,30 +58,6 @@ from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_b
 from .presentation import PresentationMatrix
 from .ratmat import Echelon
 from .specht import character_column
-
-DEFAULT_ROW_CAP = 5000
-ROW_CAP_ENV = "FISTAB_ORACLE_CAP"
-
-
-class ResourceCapError(RuntimeError):
-    """Raised when a degree would exceed the configured ambient row cap."""
-
-
-def _row_cap() -> int:
-    """The configured ambient row cap; a set value must be a positive int."""
-    raw = os.environ.get(ROW_CAP_ENV)
-    if not raw:
-        return DEFAULT_ROW_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = None
-    if cap is None or cap <= 0:
-        raise ValueError(
-            f"{ROW_CAP_ENV} must be a positive integer, got {raw!r}"
-        )
-    return cap
-
 
 @dataclass
 class DegreeEvaluation:
@@ -200,40 +176,36 @@ class DegreeEvaluation:
         return result
 
 
+def _excess(n: int, degrees, bound: int) -> str | None:
+    """The injections [d] -> [n] summed over degrees, as text, if there
+    are more than bound of them; None if not.
+
+    With d <= n every factor of falling_factorial(n, d) but the last is
+    at least 2, so a degree d above bound.bit_length() alone gives more
+    than bound and is not multiplied out.
+    """
+    if any(bound.bit_length() < d <= n for d in degrees):
+        return f"more than {bound}"
+    count = sum(falling_factorial(n, d) for d in degrees)
+    return figure(count) if count > bound else None
+
+
 def _check_budget(z: PresentationMatrix, n: int) -> None:
     """Refuse a degree whose ambient rows or relation columns exceed the
     configured budget."""
-    cap = _row_cap()
-    ambient_dim = sum(falling_factorial(n, x) for x in z.generator_degrees)
-    if ambient_dim > cap:
+    cap = row_cap()
+    rows = _excess(n, z.generator_degrees, cap)
+    if rows:
         raise ResourceCapError(
-            f"degree {n} needs {ambient_dim} ambient rows, cap is {cap} "
+            f"degree {n} needs {rows} ambient rows, cap is {cap} "
             f"(raise {ROW_CAP_ENV} to override)"
         )
-    relation_dim = sum(falling_factorial(n, y) for y in z.relation_degrees)
-    if relation_dim > 10 * cap:
+    columns = _excess(n, z.relation_degrees, 10 * cap)
+    if columns:
         raise ResourceCapError(
-            f"degree {n} needs {relation_dim} relation columns, budget is "
+            f"degree {n} needs {columns} relation columns, budget is "
             f"{10 * cap} (raise {ROW_CAP_ENV} to override)"
         )
-
-
-def _partition_counts():
-    """Yield p(0), p(1), p(2), ... by Euler's pentagonal number recurrence."""
-    counts = [1]
-    yield 1
-    while True:
-        m = len(counts)
-        total = 0
-        k = 1
-        while k * (3 * k - 1) // 2 <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * counts[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                total += sign * counts[m - k * (3 * k + 1) // 2]
-            k += 1
-        counts.append(total)
-        yield total
 
 
 def _check_class_budget(n: int) -> None:
@@ -244,8 +216,9 @@ def _check_class_budget(n: int) -> None:
     stopping at the first one over the budget, so a huge degree is refused
     without enumerating its partitions.
     """
-    budget = 100 * _row_cap()
-    for m, classes in zip(range(n + 1), _partition_counts()):
+    budget = 100 * row_cap()
+    for m in range(n + 1):
+        classes = len(partitions(m))
         if classes * classes > budget:
             at_least = "" if m == n else "at least "
             raise ResourceCapError(
@@ -325,10 +298,6 @@ evaluate_degree.cache_clear = _evaluate.cache_clear
 def dimension_at(z: PresentationMatrix, n: int) -> int:
     """dim M[n]: ambient dimension minus relation rank, exactly."""
     return evaluate_degree(z, n).cokernel_dim
-
-
-def cokernel_trace(z: PresentationMatrix, n: int, mu: Partition) -> int:
-    return evaluate_degree(z, n).cokernel_trace(mu)
 
 
 def decompose_at(z: PresentationMatrix, n: int) -> dict[Partition, int]:
@@ -417,13 +386,11 @@ def verify(z: PresentationMatrix, n: int | None = None) -> VerificationReport:
 
 
 __all__ = [
-    "DEFAULT_ROW_CAP",
     "ROW_CAP_ENV",
     "DegreeEvaluation",
     "ResourceCapError",
     "ShapeCheck",
     "VerificationReport",
-    "cokernel_trace",
     "decompose_at",
     "dimension_at",
     "evaluate_degree",

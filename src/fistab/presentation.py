@@ -22,25 +22,25 @@ The transported matrix of a presentation is assembled from cached Specht
 block rows in one pass: each distinct block is built once per matrix,
 kept as the (column, sign) pairs of its nonzero entries, and added times
 its coefficient straight into the output rows.  The induced module of
-any symmetric-group representation (``induced_block_action``) is built
-by the same routine, with that representation in place of specht_raw.
+any symmetric-group representation (``induced_block_action``, and
+``induced_action`` for specht_action) is built by the same routine, with
+that representation in place of specht_raw.
 """
 
 from fractions import Fraction
-from functools import cache
 
 from .combinatorics import (
     Partition,
     check_partition,
     compose,
+    hook_length_count,
     identity,
     monotone_injections,
     monotone_part,
     sorting_permutation,
-    standard_tableaux,
 )
 from .ratmat import RationalMatrix
-from .specht import specht_raw
+from .specht import specht_action, specht_raw
 
 
 class FormalSum:
@@ -257,24 +257,6 @@ def _transport(block, k: int, dim: int, row_degrees, col_degrees,
     return RationalMatrix(out, ncols=ncols)
 
 
-def induced_raw(lam: Partition, f, target: int) -> RationalMatrix:
-    """Transport of a single injection f: [x] -> [y] for shape lam.
-
-    Row index (p, t) runs over monotone injections [k] -> [x] (outer) and
-    standard tableaux of lam (inner); columns likewise on the target side.
-    Shapes larger than x give a genuine 0-row matrix.
-    """
-    f = tuple(f)
-    return induced_raw_sum(lam, FormalSum(len(f), target, {f: 1}))
-
-
-def induced_raw_sum(lam: Partition, s: FormalSum) -> RationalMatrix:
-    """Linear extension of induced_raw to a formal sum of injections."""
-    return induced_raw_presentation(
-        lam, PresentationMatrix((s.source,), (s.target,), {(0, 0): s})
-    )
-
-
 def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalMatrix:
     """Block transport of a whole presentation for shape lam.
 
@@ -285,8 +267,7 @@ def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalM
     """
     lam = check_partition(lam)
     return _transport(
-        lambda sigma: specht_raw(lam, sigma), sum(lam),
-        len(standard_tableaux(lam)),
+        lambda sigma: specht_raw(lam, sigma), sum(lam), hook_length_count(lam),
         z.generator_degrees, z.relation_degrees,
         {pos: s.terms for pos, s in z.entries.items()},
     )
@@ -328,24 +309,23 @@ def induced_block_action(rep, k: int, f, target: int) -> RationalMatrix:
     )
 
 
-@cache
-def _induced_unit_inverse(lam: Partition, x: int) -> RationalMatrix:
-    return induced_raw(lam, identity(x), x).inverse()
-
-
 def induced_action(lam: Partition, f, target: int) -> RationalMatrix:
     """Action of f on the module induced from the irreducible of shape lam.
 
-    Basis-corrected so that identity injections act as identity matrices;
-    composes contravariantly, and on permutations of [k] it restricts to
-    specht_action.
+    induced_block_action of specht_action, which is the raw transport of
+    f corrected by the inverse of the raw transport of the identity: that
+    matrix is block diagonal in specht_raw(lam, identity).  Identity
+    injections act as identity matrices and actions compose
+    contravariantly.
     """
     lam = check_partition(lam)
     if sum(lam) > len(f):
         raise ValueError(
             f"shape {lam} does not fit inside the source of arity {len(f)}"
         )
-    return _induced_unit_inverse(lam, len(f)) * induced_raw(lam, f, target)
+    return induced_block_action(
+        lambda sigma: specht_action(lam, sigma), sum(lam), f, target
+    )
 
 
 __all__ = [
@@ -354,7 +334,5 @@ __all__ = [
     "augmentation_matrix",
     "induced_action",
     "induced_block_action",
-    "induced_raw",
     "induced_raw_presentation",
-    "induced_raw_sum",
 ]

@@ -1,20 +1,20 @@
 """Irreducible symmetric-group representations and their characters.
 
-Characters are reached three ways, and agreement among them is a test,
+Characters are reached two ways, and agreement between them is a test,
 not an assumption:
 
 - matrices: ``specht_action`` builds the irreducible indexed by a
   partition as honest matrices acting on the span of its standard
   tableaux, and a character is the trace of one of them (computed in the
   tests only);
-- pointwise rim hooks: ``mn_character`` computes one value chi_lam(mu)
-  by recursive rim-hook removal (Murnaghan-Nakayama), cached per pair;
-- whole columns: ``character_column`` computes chi(mu) for every shape
-  of |mu| at once, pushing the column of mu[1:] through a cached table of
-  the rim hooks of length mu_1 of every shape.  The oracle decomposes
-  this way.
+- rim hooks: ``character_column`` computes chi(mu) for every shape of
+  |mu| at once by Murnaghan-Nakayama, pushing the column of mu[1:]
+  through a cached table of the rim hooks of length mu_1 of every shape.
+  The oracle decomposes this way, and ``mn_character`` reads one value
+  chi_lam(mu) off the column of mu.
 
-Both rim-hook routes strip hooks with the one helper ``_rim_hooks``.
+The tests hold a third, independent rim-hook recursion on beta sets as
+the reference for both.
 
 The matrix model composes contravariantly: acting by sigma and then tau
 multiplies to the matrix of tau o sigma.
@@ -108,37 +108,9 @@ def _rim_hooks(lam: Partition, k: int):
 
 
 @cache
-def mn_character(lam: Partition, mu: Partition) -> int:
-    """Character value of the irreducible lam on the class of cycle type mu.
-
-    Recursive rim-hook removal: strip a hook of length mu_1 from lam in
-    every possible way, flip the sign by the hook's height, and recurse on
-    the remaining class parts.  The arguments are checked here, once; the
-    recursion runs on partitions already checked.
-    """
-    lam = check_partition(lam)
-    mu = check_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"|{lam}| = {sum(lam)} but |{mu}| = {sum(mu)}")
-    return _strip_rim_hooks(lam, mu)
-
-
-def _strip_rim_hooks(lam: Partition, mu: Partition) -> int:
-    """mn_character on partitions of equal size, unchecked.
-
-    The recursion is cached in _rim_hook_character; the top-level call
-    is not, since mn_character caches it already.
-    """
-    if not mu:
-        return 1
-    rest = mu[1:]
-    return sum(
-        sign * _rim_hook_character(smaller, rest)
-        for smaller, sign in _rim_hooks(lam, mu[0])
-    )
-
-
-_rim_hook_character = cache(_strip_rim_hooks)
+def _positions(n: int) -> dict[Partition, int]:
+    """The position of every partition of n in partitions(n)."""
+    return {lam: i for i, lam in enumerate(partitions(n))}
 
 
 @cache
@@ -148,7 +120,7 @@ def _hook_table(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     Entry i lists, for each k-rim hook of partitions(n)[i], the position
     of the remaining shape in partitions(n - k) and the hook's sign.
     """
-    position = {lam: i for i, lam in enumerate(partitions(n - k))}
+    position = _positions(n - k)
     return tuple(
         tuple((position[smaller], sign) for smaller, sign in _rim_hooks(lam, k))
         for lam in partitions(n)
@@ -159,7 +131,7 @@ def _hook_table(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def character_column(mu: Partition) -> tuple[int, ...]:
     """Every irreducible character on the class of cycle type mu.
 
-    Entry i is mn_character(partitions(|mu|)[i], mu).  Removing a rim hook
+    Entry i is the character of partitions(|mu|)[i].  Removing a rim hook
     of length mu_1 turns the column of mu into the column of mu[1:],
     read through _hook_table; the column of the empty class is (1,).
     """
@@ -171,6 +143,17 @@ def character_column(mu: Partition) -> tuple[int, ...]:
         sum(sign * below[j] for j, sign in hooks)
         for hooks in _hook_table(sum(mu), mu[0])
     )
+
+
+@cache
+def mn_character(lam: Partition, mu: Partition) -> int:
+    """Character value of the irreducible lam on the class of cycle type
+    mu: the entry for lam in character_column(mu)."""
+    lam = check_partition(lam)
+    mu = check_partition(mu)
+    if sum(lam) != sum(mu):
+        raise ValueError(f"|{lam}| = {sum(lam)} but |{mu}| = {sum(mu)}")
+    return character_column(mu)[_positions(sum(mu))[lam]]
 
 
 __all__ = [

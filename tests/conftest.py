@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
 
 import pytest
 
-from fistab import FormalSum, PresentationMatrix
+from fistab import FormalSum, PresentationMatrix, induced_raw_presentation
 from fistab.combinatorics import (
     all_injections,
     box_sign,
@@ -16,6 +18,67 @@ from fistab.combinatorics import (
     standard_tableaux,
 )
 from fistab.ratmat import RationalMatrix
+
+def symmetric_group(k: int):
+    """All permutations of [k], in lexicographic order."""
+    return list(permutations(range(1, k + 1)))
+
+
+def cycle_type(p):
+    """Cycle type of a permutation, as a partition of len(p)."""
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            v = p[v] - 1
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@cache
+def beta_set_character(lam, mu):
+    """Murnaghan-Nakayama by beta sets, recomputing the sorted beta set
+    and the partition at every step.
+
+    The reference for the characters of fistab.specht: it shares no code
+    with their rim-hook table.
+    """
+    if not mu:
+        return 1
+    beta = [part + len(lam) - 1 - i for i, part in enumerate(lam)]
+    total = 0
+    for b in beta:
+        c = b - mu[0]
+        if c < 0 or c in beta:
+            continue
+        crossed = sum(1 for v in beta if c < v < b)
+        moved = sorted((c if v == b else v for v in beta), reverse=True)
+        smaller = tuple(
+            v - (len(moved) - 1 - i) for i, v in enumerate(moved)
+            if v - (len(moved) - 1 - i) > 0
+        )
+        total += (-1) ** crossed * beta_set_character(smaller, mu[1:])
+    return total
+
+
+def induced_raw_sum(lam, s: FormalSum) -> RationalMatrix:
+    """The transported matrix of one formal sum [x] -> [y] for shape lam."""
+    return induced_raw_presentation(
+        lam, PresentationMatrix((s.source,), (s.target,), {(0, 0): s})
+    )
+
+
+def induced_raw(lam, f, target: int) -> RationalMatrix:
+    """The transported matrix of one injection f: [x] -> [target]."""
+    f = tuple(f)
+    return induced_raw_sum(lam, FormalSum(len(f), target, {f: 1}))
+
 
 E_FILE = """\
 # one generator of degree 3, one four-term cyclic relation of degree 4

@@ -21,7 +21,6 @@ from fistab.combinatorics import (
     identity,
     partitions,
     standard_tableaux,
-    symmetric_group,
 )
 from fistab.multiplicity import (
     dimension_polynomial,
@@ -29,11 +28,19 @@ from fistab.multiplicity import (
     onset_bound,
 )
 from fistab.oracle import decompose_at, dimension_at, verify
-from fistab.presentation import induced_block_action, induced_raw, induced_raw_sum
+from fistab.presentation import induced_block_action
 from fistab.ratmat import RationalMatrix
-from fistab.specht import mn_character, specht_action, specht_raw
+from fistab.specht import specht_action, specht_raw
 
-from conftest import E_FILE, free_module, random_presentation
+from conftest import (
+    E_FILE,
+    beta_set_character,
+    free_module,
+    induced_raw,
+    induced_raw_sum,
+    random_presentation,
+    symmetric_group,
+)
 
 
 def criterion(number: int, description: str):
@@ -206,7 +213,7 @@ def test_criterion_8_counting_identities():
         for a in shapes:
             for b in shapes:
                 inner = sum(
-                    weights[mu] * mn_character(a, mu) * mn_character(b, mu)
+                    weights[mu] * beta_set_character(a, mu) * beta_set_character(b, mu)
                     for mu in shapes
                 )
                 assert Fraction(inner, factorial(n)) == (1 if a == b else 0)

@@ -22,6 +22,20 @@ from conftest import E_FILE, random_low_relation_presentation, random_presentati
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def cyclic(x: int) -> str:
+    """One generator of degree x, one relation of degree x + 1, and the
+    sum of the x + 1 cyclic shifts of [1 .. x]; cyclic(3) is E."""
+    shifts = " + ".join(
+        "[" + " ".join(str((k + i) % (x + 1) + 1) for i in range(x)) + "]"
+        for k in range(x + 1)
+    )
+    return f"generators: {x}\nrelations: {x + 1}\nentry 1 1 : {shifts}\n"
+
+
+def _no_build(*args):
+    raise AssertionError("a matrix was built before the cell budget was checked")
+
+
 class TestParser:
     def test_running_example(self, e_presentation):
         assert parse_presentation(E_FILE) == e_presentation
@@ -249,6 +263,91 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         nonzero = [row for row in payload["decomposition"] if row["multiplicity"]]
         assert nonzero == [{"shape": [21], "multiplicity": 1}]
+
+    def test_closed_form_cell_budget(self, tmp_path, capsys, monkeypatch):
+        # cyclic-7's largest matrix, shape (3, 2, 1), is 112 x 448 = 50176
+        # cells; the budget is 2000 times the cap
+        import fistab.multiplicity as multiplicity
+
+        path = tmp_path / "cyclic7.fipres"
+        path.write_text(cyclic(7), encoding="utf-8")
+        monkeypatch.setenv("FISTAB_ORACLE_CAP", "25")
+        with monkeypatch.context() as m:
+            m.setattr(multiplicity, "induced_raw_presentation", _no_build)
+            assert main(["multiplicities", str(path)]) == 2
+            assert main(["amatrix", str(path), "--shape", "3,2,1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "error: shape (3, 2, 1) needs a 112x448 matrix, 50176 cells, "
+            "budget is 50000 (raise FISTAB_ORACLE_CAP to override)"
+        ] * 2
+        monkeypatch.setenv("FISTAB_ORACLE_CAP", "26")
+        assert main(["multiplicities", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_cyclic10_is_refused_at_once(self, tmp_path, capsys, monkeypatch):
+        import fistab.multiplicity as multiplicity
+
+        path = tmp_path / "cyclic10.fipres"
+        path.write_text(cyclic(10), encoding="utf-8")
+        monkeypatch.delenv("FISTAB_ORACLE_CAP", raising=False)
+        monkeypatch.setattr(multiplicity, "induced_raw_presentation", _no_build)
+        assert main(["multiplicities", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: shape (3, 2, 1) needs a 3360x7392 matrix, 24837120 cells"
+        )
+        assert main(["amatrix", str(path), "--shape", "4,2,1,1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: shape (4, 2, 1, 1) needs a 4050x14850 matrix, 60142500 "
+            "cells, budget is 10000000 (raise FISTAB_ORACLE_CAP to override)\n"
+        )
+
+    def test_specht_cell_budget(self, capsys, monkeypatch):
+        import fistab.cli as cli_module
+
+        monkeypatch.delenv("FISTAB_ORACLE_CAP", raising=False)
+        with monkeypatch.context() as m:
+            m.setattr(cli_module, "specht_action", _no_build)
+            perm = ",".join(map(str, range(1, 15)))
+            assert main(["specht", "--shape", "5,4,3,2", "--perm", perm]) == 2
+        assert capsys.readouterr().err == (
+            "error: shape (5, 4, 3, 2) needs a 48048x48048 matrix, 2308610304 "
+            "cells, budget is 10000000 (raise FISTAB_ORACLE_CAP to override)\n"
+        )
+        # f^lam is 35 for (4, 2, 1) and 70 for (4, 3, 1); the budget is 2000
+        monkeypatch.setenv("FISTAB_ORACLE_CAP", "1")
+        assert main(["specht", "--shape", "4,2,1", "--perm", "2,1,3,4,5,6,7"]) == 0
+        assert main(["specht", "--shape", "4,3,1", "--perm", "2,1,3,4,5,6,7,8"]) == 2
+        assert "shape (4, 3, 1) needs a 70x70 matrix, 4900 cells" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("text,argv,code,expected", [
+        # a degree too large to count injections for, at a huge n
+        ("generators: 1000000000\nrelations:\n",
+         ["evaluate", "--n", str(10**18)], 2,
+         "error: degree 1000000000000000000 needs more than 5000 ambient rows"),
+        # generators of degree above n contribute nothing
+        ("generators: 1000000000\nrelations:\n",
+         ["evaluate", "--n", "5"], 0, "0\n"),
+        # a degree-0 generator has one injection into any [n]
+        ("generators: 0\nrelations: 0\nentry 1 1 : 2*[]\n",
+         ["evaluate", "--n", str(10**18)], 0, "0\n"),
+        # shapes that fit no degree give an empty matrix, whatever f^lam is
+        (E_FILE, ["amatrix", "--shape", "1500"], 0,
+         "0x0 matrix for shape [1500]\n"),
+        (E_FILE, ["amatrix", "--shape", "10,10,10"], 0,
+         "0x0 matrix for shape [10, 10, 10]\n"),
+    ])
+    def test_huge_inputs_end_at_once(
+        self, tmp_path, capsys, monkeypatch, text, argv, code, expected
+    ):
+        monkeypatch.delenv("FISTAB_ORACLE_CAP", raising=False)
+        path = tmp_path / "input.fipres"
+        path.write_text(text, encoding="utf-8")
+        assert main([argv[0], str(path), *argv[1:]]) == code
+        captured = capsys.readouterr()
+        assert (captured.err if code else captured.out).startswith(expected)
 
     @pytest.mark.parametrize("raw", ["ten", "2.5", "0", "-1"])
     def test_bad_cap_exit_code(self, e_file, capsys, monkeypatch, raw):

@@ -12,12 +12,10 @@ from fistab.combinatorics import (
     col_word,
     compose,
     conjugate,
-    cycle_type,
     falling_factorial,
     hook_length_count,
     identity,
     inverse,
-    is_horizontal_strip_extension,
     monotone_injections,
     monotone_part,
     partitions,
@@ -25,8 +23,10 @@ from fistab.combinatorics import (
     sign,
     sorting_permutation,
     standard_tableaux,
-    symmetric_group,
 )
+from fistab.combinatorics import _is_horizontal_strip_extension
+
+from conftest import cycle_type, symmetric_group
 
 
 def brute_force_partitions(k: int) -> set[tuple[int, ...]]:
@@ -252,13 +252,13 @@ class TestBoxSign:
 
 class TestShapes:
     def test_horizontal_strip_examples(self):
-        assert is_horizontal_strip_extension((1,), (2,))
-        assert is_horizontal_strip_extension((1,), (1, 1))
-        assert not is_horizontal_strip_extension((1,), (1, 1, 1))
-        assert is_horizontal_strip_extension((2, 2), (3, 2))
+        assert _is_horizontal_strip_extension((1,), (2,))
+        assert _is_horizontal_strip_extension((1,), (1, 1))
+        assert not _is_horizontal_strip_extension((1,), (1, 1, 1))
+        assert _is_horizontal_strip_extension((2, 2), (3, 2))
 
     def test_strip_requires_containment(self):
-        assert not is_horizontal_strip_extension((2,), (1, 1))
+        assert not _is_horizontal_strip_extension((2,), (1, 1))
 
     def test_strip_definition(self):
         # against the raw definition: containment plus <= 1 new box per column
@@ -279,7 +279,7 @@ class TestShapes:
                         by_def = contained and all(
                             o - i <= 1 for i, o in zip(inner_cols, outer_cols)
                         )
-                        assert is_horizontal_strip_extension(inner, outer) == by_def
+                        assert _is_horizontal_strip_extension(inner, outer) == by_def
 
     def test_binomial_count_of_monotone(self):
         for k in range(5):

@@ -12,19 +12,16 @@ from fistab.combinatorics import (
     class_representative,
     class_size,
     compose,
-    cycle_type,
     falling_factorial,
     hook_length_count,
     horizontal_strip_extensions,
     inverse,
     partitions,
-    symmetric_group,
 )
 from fistab.cli import parse_presentation
 from fistab.oracle import (
     DegreeEvaluation,
     ResourceCapError,
-    cokernel_trace,
     decompose_at,
     dimension_at,
     evaluate_degree,
@@ -33,13 +30,15 @@ from fistab.oracle import (
 from fistab.multiplicity import onset_bound
 from fistab.presentation import FormalSum, PresentationMatrix
 from fistab.ratmat import RationalMatrix
-from fistab.specht import mn_character
 
 from conftest import (
     E_FILE,
+    beta_set_character,
+    cycle_type,
     free_module,
     random_low_relation_presentation,
     random_presentation,
+    symmetric_group,
     torsion_presentation,
 )
 from test_ratmat import gauss_rank
@@ -98,7 +97,7 @@ def pairwise_decompose(z: PresentationMatrix, n: int) -> dict:
     result = {}
     for lam in classes:
         acc = sum(
-            class_size(mu) * traces[mu] * mn_character(lam, mu)
+            class_size(mu) * traces[mu] * beta_set_character(lam, mu)
             for mu in classes
         )
         count, remainder = divmod(acc, factorial(n))
@@ -269,14 +268,14 @@ class TestTraces:
         for n in range(3, 7):
             ones = tuple([1] * n)
             expected = factorial(n) // factorial(n - 3)
-            assert cokernel_trace(free_module(3), n, ones) == expected
+            assert evaluate_degree(free_module(3), n).cokernel_trace(ones) == expected
 
     def test_ambient_no_fixed_points(self):
-        assert cokernel_trace(free_module(3), 4, (2, 2)) == 0
-        assert cokernel_trace(free_module(3), 6, (3, 3)) == 0
+        assert evaluate_degree(free_module(3), 4).cokernel_trace((2, 2)) == 0
+        assert evaluate_degree(free_module(3), 6).cokernel_trace((3, 3)) == 0
 
     def test_ambient_pinned(self):
-        assert cokernel_trace(free_module(3), 4, (1, 1, 1, 1)) == 24
+        assert evaluate_degree(free_module(3), 4).cokernel_trace((1, 1, 1, 1)) == 24
 
     def test_cokernel_equals_ambient_without_relations(self):
         # the ambient trace counts the basis injections the permutation fixes
@@ -287,7 +286,7 @@ class TestTraces:
                 fixed = sum(
                     1 for f in all_injections(2, n) if compose(sigma, f) == f
                 )
-                assert cokernel_trace(z, n, mu) == fixed
+                assert evaluate_degree(z, n).cokernel_trace(mu) == fixed
 
     def test_identity_class_gives_dimension(self, e_presentation):
         rng = random.Random(31)
@@ -295,10 +294,10 @@ class TestTraces:
         for z in candidates:
             for n in range(2, 6):
                 ones = tuple([1] * n)
-                assert cokernel_trace(z, n, ones) == dimension_at(z, n)
+                assert evaluate_degree(z, n).cokernel_trace(ones) == dimension_at(z, n)
 
     def test_pinned_cokernel_trace(self, e_presentation):
-        assert cokernel_trace(e_presentation, 4, (1, 1, 1, 1)) == 18
+        assert evaluate_degree(e_presentation, 4).cokernel_trace((1, 1, 1, 1)) == 18
 
     def test_constant_on_conjugacy_classes(self, e_presentation):
         # two representatives per class: the canonical one and a random

@@ -15,7 +15,6 @@ from fistab.combinatorics import (
     identity,
     monotone_injections,
     partitions,
-    symmetric_group,
 )
 from fistab.presentation import (
     FormalSum,
@@ -23,14 +22,20 @@ from fistab.presentation import (
     augmentation_matrix,
     induced_action,
     induced_block_action,
-    induced_raw,
     induced_raw_presentation,
-    induced_raw_sum,
 )
 from fistab.ratmat import RationalMatrix
-from fistab.specht import mn_character, specht_action, specht_raw
+from fistab.specht import specht_action, specht_raw
 
-from conftest import free_module, random_presentation, reference_transport
+from conftest import (
+    beta_set_character,
+    free_module,
+    induced_raw,
+    induced_raw_sum,
+    random_presentation,
+    reference_transport,
+    symmetric_group,
+)
 from test_ratmat import gauss_rank
 
 
@@ -371,6 +376,21 @@ class TestInducedAction:
                     unit = induced_raw(lam, identity(x), x)
                     assert unit * unit.inverse() == RationalMatrix.identity(unit.nrows)
 
+    def test_matches_unit_corrected_raw_transport(self):
+        # induced_action as it was built before it went through
+        # induced_block_action: the raw transport of f, corrected by the
+        # inverse of the raw transport of the identity of its source
+        rng = random.Random(83)
+        for k in range(5):
+            for lam in partitions(k):
+                for x in range(k, 6):
+                    unit_inverse = induced_raw(lam, identity(x), x).inverse()
+                    for y in range(x, 7):
+                        pool = all_injections(x, y)
+                        for f in rng.sample(pool, min(len(pool), 3)):
+                            expected = unit_inverse * induced_raw(lam, f, y)
+                            assert induced_action(lam, f, y) == expected
+
     def test_identity_action(self):
         for x in range(5):
             for k in range(x + 1):
@@ -436,7 +456,7 @@ class TestInducedAction:
                         action = induced_action(lam, sigma, n)
                         trace = sum(action[i, i] for i in range(action.nrows))
                         expected = sum(
-                            mn_character(nu, mu)
+                            beta_set_character(nu, mu)
                             for nu in horizontal_strip_extensions(lam, n)
                         )
                         assert trace == expected

@@ -8,13 +8,11 @@ from fistab.combinatorics import (
     class_representative,
     class_size,
     compose,
-    cycle_type,
     hook_length_count,
     identity,
     inverse,
     partitions,
     sign,
-    symmetric_group,
 )
 from fistab.ratmat import RationalMatrix
 from fistab.specht import (
@@ -23,6 +21,8 @@ from fistab.specht import (
     specht_action,
     specht_raw,
 )
+
+from conftest import beta_set_character, cycle_type, symmetric_group
 
 
 def character_of_action(lam, mu):
@@ -33,27 +33,6 @@ def character_of_action(lam, mu):
     """
     action = specht_action(lam, class_representative(mu))
     return sum(action[i, i] for i in range(action.nrows))
-
-
-def beta_set_character(lam, mu):
-    """Murnaghan-Nakayama by beta sets, recomputing the sorted beta set
-    and the partition at every step; the reference for mn_character."""
-    if not mu:
-        return 1
-    beta = [part + len(lam) - 1 - i for i, part in enumerate(lam)]
-    total = 0
-    for b in beta:
-        c = b - mu[0]
-        if c < 0 or c in beta:
-            continue
-        crossed = sum(1 for v in beta if c < v < b)
-        moved = sorted((c if v == b else v for v in beta), reverse=True)
-        smaller = tuple(
-            v - (len(moved) - 1 - i) for i, v in enumerate(moved)
-            if v - (len(moved) - 1 - i) > 0
-        )
-        total += (-1) ** crossed * beta_set_character(smaller, mu[1:])
-    return total
 
 
 class TestRawMatrices:
