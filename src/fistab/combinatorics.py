@@ -15,7 +15,7 @@ All functions are pure; all values are immutable.
 
 from functools import cache
 from itertools import combinations, permutations as _permutations
-from math import factorial, perm
+from math import factorial, perm, prod
 
 
 Partition = tuple[int, ...]
@@ -186,11 +186,15 @@ def hook_length_count(lam: Partition) -> int:
     """Number of standard tableaux of shape lam, by the hook length formula."""
     lam = check_partition(lam)
     conj = conjugate(lam)
-    product = 1
-    for i, row_len in enumerate(lam):
-        for j in range(row_len):
-            product *= (row_len - j) + (conj[j] - i) - 1
-    return factorial(sum(lam)) // product
+    hooks = [
+        (row_len - j) + (conj[j] - i) - 1
+        for i, row_len in enumerate(lam)
+        for j in range(row_len)
+    ]
+    # a balanced product tree; one box at a time is quadratic in the boxes
+    while len(hooks) > 1:
+        hooks = [prod(hooks[i:i + 2]) for i in range(0, len(hooks), 2)]
+    return factorial(sum(lam)) // prod(hooks)
 
 
 def class_size(mu: Partition) -> int:
@@ -217,26 +221,16 @@ def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
     first.  Matrix-valued functions index rows and columns by this order.
     """
     lam = check_partition(lam)
-    k = sum(lam)
-
-    def fill(value: int, row_lengths: list[int], rows: tuple[tuple[int, ...], ...]):
-        if value > k:
-            yield rows
-            return
-        for i in range(len(lam)):
-            # next free box in row i must exist and have a filled box above
-            j = row_lengths[i]
-            if j >= lam[i]:
-                continue
-            if i > 0 and row_lengths[i - 1] <= j:
-                continue
-            row_lengths[i] += 1
-            new_rows = rows[:i] + (rows[i] + (value,),) + rows[i + 1:]
-            yield from fill(value + 1, row_lengths, new_rows)
-            row_lengths[i] -= 1
-
-    start = tuple(() for _ in lam)
-    found = list(fill(1, [0] * len(lam), start))
+    # fill 1, 2, ... in turn, each into every row whose next box is free
+    # and has a filled box above it
+    found = [tuple(() for _ in lam)]
+    for value in range(1, sum(lam) + 1):
+        found = [
+            rows[:i] + (rows[i] + (value,),) + rows[i + 1:]
+            for rows in found
+            for i, part in enumerate(lam)
+            if len(rows[i]) < part and (i == 0 or len(rows[i - 1]) > len(rows[i]))
+        ]
     found.sort(key=lambda t: tuple(v for row in t for v in row))
     return tuple(found)
 

@@ -11,7 +11,11 @@ closed form is checked by :func:`verify`.
 The echelon is :class:`fistab.ratmat.Echelon`, the engine behind every
 rank in the package.  Each relation column is scaled once by the lcm of
 its coefficient denominators, which keeps the span, so every relation
-row goes into the echelon as a sparse dict of ints.  The echelon keeps
+row is a sparse dict of ints.  A row equal, up to a nonzero scalar, to
+one already fed at this degree is dependent and is skipped; the key is
+its sorted items over their content, first value positive, in one flat
+tuple.  Rows repeat when a permutation fixes a relation: on E at n = 10
+only 1,260 of the 5,040 rows reach the echelon.  The echelon keeps
 its basis fully reduced as rows arrive: every basis row is zero at every
 other row's pivot.  The trace on the relation image relies on that
 invariant, because it makes the coordinate of an image vector on a basis
@@ -40,7 +44,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .budget import ROW_CAP_ENV, ResourceCapError, figure, row_cap
 from .combinatorics import (
@@ -242,6 +246,7 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
         total += len(block)
 
     basis = Echelon()
+    seen = set()
     for j, y in enumerate(z.relation_degrees):
         column = [
             (i, z.entries[(i, j)].terms)
@@ -263,9 +268,17 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
                 for g, coeff in terms:
                     flat = offset + positions[compose(h, g)]
                     row[flat] = row.get(flat, 0) + coeff
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                basis.add_row(row)
+            items = sorted((k, v) for k, v in row.items() if v)
+            if not items:
+                continue
+            # a row equal to an earlier one up to a scalar is dependent
+            c = gcd(*(v for _, v in items))
+            if items[0][1] < 0:
+                c = -c
+            key = tuple(x for k, v in items for x in (k, v // c))
+            if key not in seen:
+                seen.add(key)
+                basis.add_row(dict(items))
     return DegreeEvaluation(
         n=n,
         ambient_dim=total,

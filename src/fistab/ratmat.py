@@ -12,10 +12,12 @@ basis is kept fully reduced as rows arrive: each row is zero at every
 other row's pivot, its pivot is its first column and its pivot value is
 positive.  That makes the basis canonical, the primitive integer form of
 the reduced row echelon form of the rows' span, whatever order the rows
-came in.  A new row costs one combination per pivot column in its
-support, and an independent one clears its pivot column from the rows
-already kept.  The oracle relies on the invariant to read the coordinate
-of an image vector on a basis row straight off that row's pivot.
+came in.  Because the basis is reduced, a new row is reduced in one pass:
+its value at each pivot it hits, over that pivot value, is the multiplier
+of that basis row.  An independent row then clears its pivot column, in
+place, from the rows already kept.  The oracle relies on the invariant to
+read the coordinate of an image vector on a basis row straight off that
+row's pivot.
 
 The transported matrices of the closed form are a few percent nonzero,
 and so are the relation matrices of the brute-force oracle, which feeds
@@ -57,55 +59,71 @@ class Echelon:
 
     ``rows[pivots[c]]`` is the basis row with pivot column c: its first
     column is c, its value there is positive, its content is 1, and it is
-    zero at every other pivot column.
+    zero at every other pivot column.  ``pivots`` lists the pivot columns
+    in the order of ``rows``.
     """
 
     def __init__(self):
         self.rows: list[dict[int, int]] = []
         self.pivots: dict[int, int] = {}
 
-    @staticmethod
-    def _combine(row, other, col):
-        """row * m1 - other * m2, scaled to cancel column col, content 1."""
-        a, b = row[col], other[col]
-        g = gcd(a, b)
-        m1, m2 = b // g, a // g
-        new = {k: v * m1 for k, v in row.items()}
-        for k, v in other.items():
-            w = new.get(k, 0) - v * m2
-            if w:
-                new[k] = w
-            elif k in new:
-                del new[k]
-        c = gcd(*new.values())
-        if c > 1:
-            new = {k: v // c for k, v in new.items()}
-        return new
-
     def add_row(self, row: dict[int, int]) -> bool:
         """Reduce a row against the basis; keep it if independent.
 
-        The basis is kept fully reduced: every row is zero at every other
-        row's pivot, so the row needs one combination per pivot column in
-        its support, and no combination brings in another pivot column.
-        An independent row then clears its own pivot column from the rows
-        already kept.
+        The basis is fully reduced, so subtracting one basis row brings in
+        no other pivot column.  The row is scaled by the lcm L of the pivot
+        values it hits, and the basis row with pivot c and pivot value p is
+        subtracted L * row[c] / p times, all in one pass into one new dict.
+        An independent row then clears its pivot column, in place, from
+        the rows already kept.  The given dict is never changed.
         """
-        for col in [c for c in row if c in self.pivots]:
-            row = self._combine(row, self.rows[self.pivots[col]], col)
-        if not row:
+        rows, pivots = self.rows, self.pivots
+        hits = [(rows[pivots[c]], c, v) for c, v in row.items() if c in pivots]
+        scale = lcm(*(other[c] for other, c, _ in hits))
+        new = {k: v * scale for k, v in row.items()}
+        for other, c, v in hits:
+            m = v * scale // other[c]
+            for k, w in other.items():
+                new[k] = new.get(k, 0) - m * w
+        new = {k: v for k, v in new.items() if v}
+        if not new:
             return False
-        c = gcd(*row.values())
-        lead = min(row)
-        if row[lead] < 0:
+        c = gcd(*new.values())
+        lead = min(new)
+        if new[lead] < 0:
             c = -c
         if c != 1:
-            row = {k: v // c for k, v in row.items()}
-        for idx, other in enumerate(self.rows):
-            if lead in other:
-                self.rows[idx] = self._combine(other, row, lead)
-        self.pivots[lead] = len(self.rows)
-        self.rows.append(row)
+            new = {k: v // c for k, v in new.items()}
+        b = new[lead]
+        for col, other in zip(pivots, rows):
+            if lead not in other:
+                continue
+            a, size = other[lead], len(other)
+            g = gcd(a, b)
+            m1, m2 = b // g, a // g
+            pivot = other[col]
+            if m1 != 1:
+                for k in other:
+                    other[k] *= m1
+            for k, w in new.items():
+                x = other.get(k, 0) - m2 * w
+                if x:
+                    other[k] = x
+                else:
+                    del other[k]
+            # the content divides the old pivot value: a common prime of
+            # the content and m1 would divide every entry of the new row
+            if pivot != 1:
+                c = gcd(*other.values())
+                if c > 1:
+                    for k in other:
+                        other[k] //= c
+            # deleting keys never shrinks a dict's table, so a row that
+            # shrank is copied into a table sized for what it holds
+            if len(other) < size:
+                rows[pivots[col]] = dict(other)
+        pivots[lead] = len(rows)
+        rows.append(new)
         return True
 
     @property

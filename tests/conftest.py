@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -211,3 +212,58 @@ def reference_transport(lam, z: PresentationMatrix) -> RationalMatrix:
                             rows_by_u[uj], col_words[ti]
                         )
     return RationalMatrix(out, ncols=ncols)
+
+
+class ReferenceEchelon:
+    """The echelon as it ran before it reduced a row in one pass: one
+    combination per pivot column in the row's support, each building a
+    new dict and dividing out its content, and a new dict for every
+    basis row an independent row clears.
+
+    The reference for fistab.ratmat.Echelon, whose basis must equal this
+    one, pivots and row dicts alike.
+    """
+
+    def __init__(self):
+        self.rows: list[dict[int, int]] = []
+        self.pivots: dict[int, int] = {}
+
+    @staticmethod
+    def _combine(row, other, col):
+        """row * m1 - other * m2, scaled to cancel column col, content 1."""
+        a, b = row[col], other[col]
+        g = gcd(a, b)
+        m1, m2 = b // g, a // g
+        new = {k: v * m1 for k, v in row.items()}
+        for k, v in other.items():
+            w = new.get(k, 0) - v * m2
+            if w:
+                new[k] = w
+            elif k in new:
+                del new[k]
+        c = gcd(*new.values())
+        if c > 1:
+            new = {k: v // c for k, v in new.items()}
+        return new
+
+    def add_row(self, row: dict[int, int]) -> bool:
+        for col in [c for c in row if c in self.pivots]:
+            row = self._combine(row, self.rows[self.pivots[col]], col)
+        if not row:
+            return False
+        c = gcd(*row.values())
+        lead = min(row)
+        if row[lead] < 0:
+            c = -c
+        if c != 1:
+            row = {k: v // c for k, v in row.items()}
+        for idx, other in enumerate(self.rows):
+            if lead in other:
+                self.rows[idx] = self._combine(other, row, lead)
+        self.pivots[lead] = len(self.rows)
+        self.rows.append(row)
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)

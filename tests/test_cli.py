@@ -338,14 +338,19 @@ class TestCommands:
          "0x0 matrix for shape [1500]\n"),
         (E_FILE, ["amatrix", "--shape", "10,10,10"], 0,
          "0x0 matrix for shape [10, 10, 10]\n"),
+        # a shape of 1500 boxes in one row has one tableau (no input file)
+        (None, ["specht", "--shape", "1500",
+                "--perm", ",".join(map(str, range(1, 1501)))], 0, "[ 1 ]\n"),
     ])
     def test_huge_inputs_end_at_once(
         self, tmp_path, capsys, monkeypatch, text, argv, code, expected
     ):
         monkeypatch.delenv("FISTAB_ORACLE_CAP", raising=False)
-        path = tmp_path / "input.fipres"
-        path.write_text(text, encoding="utf-8")
-        assert main([argv[0], str(path), *argv[1:]]) == code
+        if text is not None:
+            path = tmp_path / "input.fipres"
+            path.write_text(text, encoding="utf-8")
+            argv = [argv[0], str(path), *argv[1:]]
+        assert main(argv) == code
         captured = capsys.readouterr()
         assert (captured.err if code else captured.out).startswith(expected)
 

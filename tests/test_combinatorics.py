@@ -154,6 +154,17 @@ class TestPermutations:
             assert sum(class_size(mu) for mu in partitions(k)) == factorial(k)
 
 
+def box_by_box_hook_count(lam) -> int:
+    """hook_length_count as it was before the product tree: the hook
+    lengths multiplied one box at a time into one growing product."""
+    conj = conjugate(lam)
+    product = 1
+    for i, row_len in enumerate(lam):
+        for j in range(row_len):
+            product *= (row_len - j) + (conj[j] - i) - 1
+    return factorial(sum(lam)) // product
+
+
 class TestStandardTableaux:
     def test_single_row(self):
         assert standard_tableaux((2,)) == (((1, 2),),)
@@ -178,6 +189,35 @@ class TestStandardTableaux:
         for k in range(8):
             for lam in partitions(k):
                 assert len(standard_tableaux(lam)) == hook_length_count(lam)
+
+    def test_matches_brute_force_in_reading_order(self):
+        # reading words in lexicographic order, split into the rows of
+        # lam, kept when rows and columns increase
+        for k in range(8):
+            for lam in partitions(k):
+                found = []
+                for word in permutations(range(1, k + 1)):
+                    ends = [sum(lam[:i]) for i in range(len(lam) + 1)]
+                    t = tuple(word[a:b] for a, b in zip(ends, ends[1:]))
+                    if all(list(row) == sorted(row) for row in t) and all(
+                        a < b for upper, lower in zip(t, t[1:])
+                        for a, b in zip(upper, lower)
+                    ):
+                        found.append(t)
+                assert standard_tableaux(lam) == tuple(found)
+
+    def test_long_row_and_column(self):
+        # one frame per box used to overflow the stack at about 1000 boxes
+        boxes = tuple(range(1, 1501))
+        assert standard_tableaux((1500,)) == ((boxes,),)
+        assert standard_tableaux((1,) * 1500) == (tuple((v,) for v in boxes),)
+
+    def test_hook_count_matches_box_by_box_product(self):
+        for k in range(13):
+            for lam in partitions(k):
+                assert hook_length_count(lam) == box_by_box_hook_count(lam)
+        for lam in ((100000,), (1,) * 100000):
+            assert hook_length_count(lam) == box_by_box_hook_count(lam) == 1
 
     def test_squared_counts_sum_to_factorial(self):
         for k in range(7):

@@ -1,7 +1,7 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +29,11 @@ from fistab.oracle import (
 )
 from fistab.multiplicity import onset_bound
 from fistab.presentation import FormalSum, PresentationMatrix
-from fistab.ratmat import RationalMatrix
+from fistab.ratmat import Echelon, RationalMatrix
 
 from conftest import (
     E_FILE,
+    ReferenceEchelon,
     beta_set_character,
     cycle_type,
     free_module,
@@ -211,6 +212,73 @@ class TestRelationMatrix:
         m = relation_matrix_at(z, 2)
         # rows: injections (1,), (2,); columns: (1,2) and (2,1)
         assert m.rows == ((1, -1), (-1, 1))
+
+
+def every_relation_row_basis(z: PresentationMatrix, n: int) -> ReferenceEchelon:
+    """Every column of the dense relation matrix, each scaled by the lcm
+    of its denominators, fed in order to the reference echelon: the
+    oracle's evaluation without skipping repeated rows."""
+    echelon = ReferenceEchelon()
+    for column in zip(*relation_matrix_at(z, n).rows):
+        column = {i: Fraction(v) for i, v in enumerate(column) if v}
+        scale = lcm(*(v.denominator for v in column.values()))
+        echelon.add_row({i: int(v * scale) for i, v in column.items()})
+    return echelon
+
+
+# One relation [1] - [2]: the rows of h and of h o (2 1) are negatives.
+NEGATED_REPEATS = PresentationMatrix(
+    (1,), (2,), {(0, 0): FormalSum(1, 2, {(1,): 1, (2,): -1})}
+)
+
+# The second relation column is -3/2 times the first, so every row of the
+# second column repeats a row of the first as a rational multiple.
+SCALED_REPEATS = PresentationMatrix((1,), (2, 2), {
+    (0, 0): FormalSum(1, 2, {(1,): 1, (2,): 2}),
+    (0, 1): FormalSum(1, 2, {(1,): Fraction(-3, 2), (2,): -3}),
+})
+
+
+def _skip_cases():
+    rng = random.Random(71)
+    e = parse_presentation(E_FILE)
+    return (
+        [(e, n) for n in range(10)]
+        + [(TRIANGLE, n) for n in range(9)]
+        + [(z, n) for z in (NON_UNIT_PIVOTS, NEGATED_REPEATS, SCALED_REPEATS)
+           for n in range(7)]
+        + [(with_rational_terms(random_presentation(rng), rng), n)
+           for _ in range(6) for n in range(6)]
+    )
+
+
+class TestRepeatedRows:
+    @pytest.mark.parametrize("z,n", _skip_cases())
+    def test_same_basis_as_feeding_every_row(self, z, n):
+        evaluate_degree.cache_clear()
+        ev = evaluate_degree(z, n)
+        reference = every_relation_row_basis(z, n)
+        assert ev.rank == reference.rank
+        assert ev._basis.pivots == reference.pivots
+        assert ev._basis.rows == reference.rows
+
+    @pytest.mark.parametrize("z,fed", [
+        (NEGATED_REPEATS, 6), (SCALED_REPEATS, 12), (TRIANGLE, 8),
+        (parse_presentation(E_FILE), 6),
+    ])
+    def test_repeats_are_not_fed(self, monkeypatch, z, fed):
+        # at n = 4 each relation column of degree 2 gives 12 rows, and one
+        # of degree 3 or 4 gives 24; the triangle's relation is fixed by
+        # the 3-cycle and E's by the 4-cycle, so their rows arrive three
+        # and four times
+        calls = []
+        add_row = Echelon.add_row
+        monkeypatch.setattr(
+            Echelon, "add_row", lambda self, row: calls.append(row) or add_row(self, row)
+        )
+        evaluate_degree.cache_clear()
+        evaluate_degree(z, 4)
+        assert len(calls) == fed
 
 
 class TestDimension:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from fistab.ratmat import Echelon, RationalMatrix, SingularMatrixError
 
+from conftest import ReferenceEchelon
+
 
 def gauss_rank(rows, ncols) -> int:
     """Independent oracle: naive rational Gaussian elimination."""
@@ -164,6 +166,63 @@ class TestEchelon:
                 echelon.add_row(sparse(row))
             bases.append({col: echelon.rows[idx] for col, idx in echelon.pivots.items()})
         assert bases[0] == bases[1]
+
+
+@st.composite
+def sparse_row_lists(draw):
+    """Sparse integer rows, some of them empty and some integer
+    combinations of earlier rows, so that dependent rows and pivot values
+    other than 1 both occur."""
+    ncols = draw(st.integers(1, 8))
+    values = st.integers(-12, 12).filter(bool)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if rows and draw(st.booleans()):
+            row = {}
+            for earlier in draw(st.lists(st.sampled_from(rows), max_size=3)):
+                m = draw(values)
+                for k, v in earlier.items():
+                    row[k] = row.get(k, 0) + m * v
+            row = {k: v for k, v in row.items() if v}
+        else:
+            row = draw(st.dictionaries(st.integers(0, ncols - 1), values))
+        rows.append(row)
+    return rows
+
+
+def feed_both(rows):
+    """Feed the rows to Echelon and ReferenceEchelon, asserting after each
+    insert that both give the same answer and the same basis."""
+    echelon, reference = Echelon(), ReferenceEchelon()
+    for row in rows:
+        assert echelon.add_row(row) == reference.add_row(row)
+        assert echelon.pivots == reference.pivots
+        assert echelon.rows == reference.rows
+    return echelon
+
+
+class TestEchelonMatchesReference:
+    def test_pinned_rows(self):
+        # a negative leading entry, an empty row and two dependent rows;
+        # the basis is (4, 0, -1), (0, 2, 1), with pivot values 4 and 2
+        echelon = feed_both([
+            {0: -2, 1: -1}, {1: 2, 2: 1}, {}, {0: 6, 1: 5, 2: 1}, {0: -4, 2: 1},
+        ])
+        assert echelon.rows == [{0: 4, 2: -1}, {1: 2, 2: 1}]
+
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_row_lists())
+    def test_same_basis_as_combination_per_pivot(self, rows):
+        feed_both(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_row_lists())
+    def test_never_changes_a_given_row(self, rows):
+        copies = [dict(row) for row in rows]
+        echelon = Echelon()
+        for row in rows:
+            echelon.add_row(row)
+        assert rows == copies
 
 
 class TestInverse:
