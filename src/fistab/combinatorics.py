@@ -14,8 +14,8 @@ All functions are pure; all values are immutable.
 """
 
 from functools import cache
-from itertools import combinations, permutations as _permutations
-from math import factorial, perm, prod
+from itertools import combinations, compress, permutations as _permutations
+from math import factorial, isqrt, perm, prod
 
 
 Partition = tuple[int, ...]
@@ -183,18 +183,36 @@ def horizontal_strip_extensions(lam: Partition, size: int) -> list[Partition]:
 
 @cache
 def hook_length_count(lam: Partition) -> int:
-    """Number of standard tableaux of shape lam, by the hook length formula."""
+    """Number of standard tableaux of shape lam, by the hook length formula.
+
+    n! / prod(hooks) is formed prime by prime, with no big division: the
+    exponent of p is Legendre's sum over the powers q of p of n // q,
+    less the number of hooks that q divides.  What is left is multiplied
+    as a balanced product tree; one factor at a time is quadratic.
+    """
     lam = check_partition(lam)
+    n = sum(lam)
     conj = conjugate(lam)
-    hooks = [
-        (row_len - j) + (conj[j] - i) - 1
-        for i, row_len in enumerate(lam)
-        for j in range(row_len)
-    ]
-    # a balanced product tree; one box at a time is quadratic in the boxes
-    while len(hooks) > 1:
-        hooks = [prod(hooks[i:i + 2]) for i in range(0, len(hooks), 2)]
-    return factorial(sum(lam)) // prod(hooks)
+    hooks = [0] * (n + 1)  # hooks[h]: boxes with hook length h
+    for i, row_len in enumerate(lam):
+        for j in range(row_len):
+            hooks[(row_len - j) + (conj[j] - i) - 1] += 1
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    factors = []
+    for p in compress(range(n + 1), is_prime):
+        e = 0
+        q = p
+        while q <= n:
+            e += n // q - sum(hooks[q::q])
+            q *= p
+        if e:
+            factors.append(p**e)
+    while len(factors) > 1:
+        factors = [prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
 
 
 def class_size(mu: Partition) -> int:
@@ -255,21 +273,6 @@ def col_word(t: Tableau) -> tuple[int, ...]:
     return tuple(word)
 
 
-def box_sign(rows, cols) -> int:
-    """Sign of the permutation sorting the box list ((rows_l, cols_l)) into
-    lexicographic order, or 0 if any box repeats.
-
-    Zipping equal-length sequences of row and column indices gives a list
-    of boxes in the plane; distinct boxes admit a unique sorting
-    permutation whose sign is returned.
-    """
-    boxes = list(zip(rows, cols))
-    if len(boxes) != len(set(boxes)):
-        return 0
-    order = {b: i + 1 for i, b in enumerate(sorted(boxes))}
-    return sign(tuple(order[b] for b in boxes))
-
-
 def falling_factorial(n: int, k: int) -> int:
     """n (n-1) ... (n-k+1); the number of injections [k] -> [n]."""
     return perm(n, k)
@@ -279,7 +282,6 @@ __all__ = [
     "Partition",
     "Tableau",
     "all_injections",
-    "box_sign",
     "check_partition",
     "class_representative",
     "class_size",

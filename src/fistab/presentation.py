@@ -9,22 +9,21 @@ partition (grown by a long top row) in the module.
 
 The transported matrix of a single injection f is block-structured: rows
 are indexed by pairs (monotone injection p into the source, standard
-tableau t), columns by pairs (q, u) on the target side, and the (p, t),
-(q, u) entry is
+tableau t), columns by pairs (q, u) on the target side.  Only the column
+block whose monotone injection q has the image of f o p can be nonzero,
+and that block is the Specht block specht_raw(lam, sigma), sigma =
+sorting_permutation(f o p).  Its (t, u) entry is the sign of the
+permutation sorting the boxes (row of sigma(l) in u, column of l in t),
+l = 1..|lam|, into row-major order, and 0 when two boxes coincide (see
+fistab.specht).
 
-    box_sign(row_word(u) o sorting_permutation(f o p), col_word(t))
-
-when f o p and q share an image, else 0.  Only the column block whose
-monotone injection matches the image of f o p can be nonzero, and that
-block is the Specht block specht_raw(lam, sorting_permutation(f o p)).
-
-The transported matrix of a presentation is assembled from cached Specht
-block rows in one pass: each distinct block is built once per matrix,
-kept as the (column, sign) pairs of its nonzero entries, and added times
-its coefficient straight into the output rows.  The induced module of
-any symmetric-group representation (``induced_block_action``, and
+The transported matrix of a presentation is assembled in one pass.  Each
+distinct block is built once per matrix by specht_rows, straight as the
+(column, sign) pairs of its nonzero entries, and added times its
+coefficient into the output rows.  The induced module of any
+symmetric-group representation (``induced_block_action``, and
 ``induced_action`` for specht_action) is built by the same routine, with
-that representation in place of specht_raw.
+that representation's matrices read into the same pairs.
 """
 
 from fractions import Fraction
@@ -40,7 +39,7 @@ from .combinatorics import (
     sorting_permutation,
 )
 from .ratmat import RationalMatrix
-from .specht import specht_action, specht_raw
+from .specht import specht_action, specht_rows
 
 
 class FormalSum:
@@ -202,14 +201,14 @@ def _transport(block, k: int, dim: int, row_degrees, col_degrees,
                entries) -> RationalMatrix:
     """The transported matrix of a grid of formal sums.
 
-    ``block`` maps a permutation of [k] to a dim x dim matrix.  Block row
-    i has source degree ``row_degrees[i]``, block column j has target
+    ``block`` maps a permutation of [k] to the dim rows of a dim x dim
+    matrix, each the (column, value) pairs of its nonzero entries.  Block
+    row i has source degree ``row_degrees[i]``, block column j has target
     degree ``col_degrees[j]``, and ``entries`` maps (i, j) to a dict from
     injections to coefficients.  The term f with coefficient c adds c
     times block(sorting_permutation(f o p)) at block row (i, p) and block
-    column (j, monotone_part(f o p)).  Each distinct block is built and
-    its size checked once, kept as the (column, value) pairs of its
-    nonzero entries, and only those are added into the output rows.
+    column (j, monotone_part(f o p)).  Each distinct block is built once,
+    and only its nonzero entries are added into the output rows.
     """
     row_offsets = []
     nrows = 0
@@ -238,16 +237,7 @@ def _transport(block, k: int, dim: int, row_degrees, col_degrees,
                 sigma = sorting_permutation(fp)
                 pairs = block_rows.get(sigma)
                 if pairs is None:
-                    matrix = block(sigma)
-                    if (matrix.nrows, matrix.ncols) != (dim, dim):
-                        raise ValueError(
-                            f"block of {sigma} is {matrix.nrows}x"
-                            f"{matrix.ncols}, expected {dim}x{dim}"
-                        )
-                    pairs = block_rows[sigma] = [
-                        [(c, v) for c, v in enumerate(row) if v]
-                        for row in matrix.rows
-                    ]
+                    pairs = block_rows[sigma] = block(sigma)
                 base = block_col[monotone_part(fp)]
                 r0 = row_offsets[i] + pi * dim
                 for t, row_pairs in enumerate(pairs):
@@ -267,7 +257,7 @@ def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalM
     """
     lam = check_partition(lam)
     return _transport(
-        lambda sigma: specht_raw(lam, sigma), sum(lam), hook_length_count(lam),
+        lambda sigma: specht_rows(lam, sigma), sum(lam), hook_length_count(lam),
         z.generator_degrees, z.relation_degrees,
         {pos: s.terms for pos, s in z.entries.items()},
     )
@@ -304,9 +294,18 @@ def induced_block_action(rep, k: int, f, target: int) -> RationalMatrix:
     when a block used is not the size of rep at the identity.
     """
     f = tuple(f)
-    return _transport(
-        rep, k, rep(identity(k)).nrows, (len(f),), (target,), {(0, 0): {f: 1}}
-    )
+    dim = rep(identity(k)).nrows
+
+    def block(sigma):
+        matrix = rep(sigma)
+        if (matrix.nrows, matrix.ncols) != (dim, dim):
+            raise ValueError(
+                f"block of {sigma} is {matrix.nrows}x{matrix.ncols}, "
+                f"expected {dim}x{dim}"
+            )
+        return [[(c, v) for c, v in enumerate(row) if v] for row in matrix.rows]
+
+    return _transport(block, k, dim, (len(f),), (target,), {(0, 0): {f: 1}})
 
 
 def induced_action(lam: Partition, f, target: int) -> RationalMatrix:

@@ -16,6 +16,18 @@ not an assumption:
 The tests hold a third, independent rim-hook recursion on beta sets as
 the reference for both.
 
+The matrices start from the tableau pairing of ``specht_rows``: entry
+(t, u) for sigma is the sign of the permutation sorting the boxes
+(row of sigma(l) in u, column of l in t), l = 1..k, into row-major
+order, and 0 when two boxes coincide.  The boxes are distinct exactly
+when every column of t gets distinct rows, and then they fill the
+diagram of the shape, the one 0-1 matrix with row sums lam and column
+sums lam'.  Read in the order m = sigma(l), the position in u's row
+word, the boxes' row-major ranks in that diagram form a permutation, and
+the entry is sign(sigma) times its sign.  So only the nonzero entries are
+ever visited: a trie of the row words of every u is walked once per t,
+pruned at the first box that repeats or leaves the diagram.  The tests keep the box-sorting definition as the reference.
+
 The matrix model composes contravariantly: acting by sigma and then tau
 multiplies to the matrix of tau o sigma.
 """
@@ -24,35 +36,117 @@ from functools import cache
 
 from .combinatorics import (
     Partition,
-    box_sign,
     check_partition,
     col_word,
-    compose,
+    inverse,
     partitions,
     row_word,
+    sign,
     standard_tableaux,
 )
 from .ratmat import RationalMatrix
 
 
+@cache
+def _tableau_words(lam: Partition):
+    """The trie of the row words of standard_tableaux(lam), the column
+    word of each tableau, and the row-major rank of every box, for a
+    nonempty shape lam.
+
+    A trie node is a tuple of (row, child) pairs in increasing row order;
+    at the last position the child is the tableau's index.  ranks[c][r]
+    is the row-major rank of box (r, c) of the diagram, and k for a box
+    outside it (row 0 and column 0 included).
+    """
+    tabs = standard_tableaux(lam)
+    k = sum(lam)
+    # bottom up, one position at a time: the nodes at depth d are keyed by
+    # the prefixes of length d (no recursion, for shapes of many boxes)
+    level: dict = {}
+    for u, t in enumerate(tabs):
+        word = row_word(t)
+        level.setdefault(word[:-1], []).append((word[-1], u))
+    for _ in range(k - 1):
+        parents: dict = {}
+        for prefix, children in level.items():
+            parents.setdefault(prefix[:-1], []).append(
+                (prefix[-1], tuple(sorted(children)))
+            )
+        level = parents
+
+    starts = [0]
+    for part in lam:
+        starts.append(starts[-1] + part)
+    ranks = tuple(
+        (k,) + tuple(
+            starts[r] + c - 1 if 0 < c <= part else k
+            for r, part in enumerate(lam)
+        )
+        for c in range(lam[0] + 1)
+    )
+    return tuple(sorted(level[()])), tuple(map(col_word, tabs)), ranks
+
+
+def specht_rows(lam: Partition, sigma) -> list[list[tuple[int, int]]]:
+    """The nonzero entries of the tableau pairing of sigma, row by row.
+
+    Row t lists the (u, +-1) pairs of the nonzero (t, u) entries of
+    specht_raw(lam, sigma), in increasing u.  At position m of u's row
+    word the walk places the box (r, c): r is u's row at m, and c is t's
+    column at sigma^-1(m).  A set bit of the box mask means the box is
+    taken, and the parity counts the taken boxes of higher rank, each an
+    inversion of the ranks read in word order.  Boxes outside the
+    diagram share rank k, whose bit is set from the start, so they are
+    refused like taken ones; that bit also adds one to every placement's
+    count of higher ranks, k in all, which the starting parity cancels.
+    """
+    lam = check_partition(lam)
+    k = len(sigma)
+    if sum(lam) != k:
+        raise ValueError(f"shape {lam} has size {sum(lam)}, sigma moves {k}")
+    if not k:
+        return [[(0, 1)]]
+    trie, col_words, ranks = _tableau_words(lam)
+    positive = sign(sigma)
+    last = k - 1
+    start = (trie, 0, 1 << k, k & 1)
+    back = [v - 1 for v in inverse(sigma)]
+    out = []
+    for word in col_words:
+        cols = [ranks[word[v]] for v in back]
+        row = []
+        stack = [start]
+        while stack:
+            node, depth, mask, parity = stack.pop()
+            rank = cols[depth]
+            for r, child in node:
+                rho = rank[r]
+                if mask >> rho & 1:
+                    continue
+                odd = parity ^ (mask >> rho).bit_count() & 1
+                if depth == last:
+                    row.append((child, -positive if odd else positive))
+                else:
+                    stack.append((child, depth + 1, mask | 1 << rho, odd))
+        row.sort()
+        out.append(row)
+    return out
+
+
 def specht_raw(lam: Partition, sigma) -> RationalMatrix:
     """The tableau-pairing matrix of sigma for shape lam.
 
-    Rows and columns run over standard_tableaux(lam) in canonical order;
-    the (t, u) entry is the box sign of (row word of u composed with
-    sigma, column word of t).  Invertible over the integers, but not yet
-    multiplicative: see specht_action for the corrected module.
+    Rows and columns run over standard_tableaux(lam) in canonical order,
+    and the nonzero entries are those of specht_rows.  Invertible over
+    the integers, but not yet multiplicative: see specht_action for the
+    corrected module.
     """
-    lam = check_partition(lam)
-    if sum(lam) != len(sigma):
-        raise ValueError(f"shape {lam} has size {sum(lam)}, sigma moves {len(sigma)}")
-    tabs = standard_tableaux(lam)
-    cols_by_t = [col_word(t) for t in tabs]
-    rows_by_u = [compose(row_word(u), sigma) for u in tabs]
-    return RationalMatrix(
-        [[box_sign(rows_by_u[uj], cols_by_t[ti]) for uj in range(len(tabs))]
-         for ti in range(len(tabs))]
-    )
+    sparse = specht_rows(lam, sigma)
+    out = [[0] * len(sparse) for _ in sparse]
+    for row, pairs in zip(out, sparse):
+        for u, v in pairs:
+            row[u] = v
+    return RationalMatrix(out)
 
 
 @cache
@@ -161,4 +255,5 @@ __all__ = [
     "mn_character",
     "specht_action",
     "specht_raw",
+    "specht_rows",
 ]

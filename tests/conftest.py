@@ -9,20 +9,48 @@ import pytest
 from fistab import FormalSum, PresentationMatrix, induced_raw_presentation
 from fistab.combinatorics import (
     all_injections,
-    box_sign,
     col_word,
     compose,
     monotone_injections,
     monotone_part,
     row_word,
+    sign,
     sorting_permutation,
     standard_tableaux,
 )
 from fistab.ratmat import RationalMatrix
 
+
 def symmetric_group(k: int):
     """All permutations of [k], in lexicographic order."""
     return list(permutations(range(1, k + 1)))
+
+
+def box_sign(rows, cols) -> int:
+    """Sign of the permutation sorting the box list ((rows_l, cols_l)) into
+    lexicographic order, or 0 if any box repeats.
+
+    Zipping equal-length sequences of row and column indices gives a list
+    of boxes in the plane; distinct boxes admit a unique sorting
+    permutation whose sign is returned.  The definition of the tableau
+    pairing, and the reference for fistab.specht.specht_rows.
+    """
+    boxes = list(zip(rows, cols))
+    if len(boxes) != len(set(boxes)):
+        return 0
+    order = {b: i + 1 for i, b in enumerate(sorted(boxes))}
+    return sign(tuple(order[b] for b in boxes))
+
+
+def box_sign_block(lam, sigma) -> list[list[int]]:
+    """The tableau pairing of sigma for shape lam, one box sign per
+    (t, u) pair: rows t, columns u, both in standard_tableaux order."""
+    tabs = standard_tableaux(lam)
+    rows_by_u = [compose(row_word(u), sigma) for u in tabs]
+    return [
+        [box_sign(rows, cols) for rows in rows_by_u]
+        for cols in map(col_word, tabs)
+    ]
 
 
 def cycle_type(p):

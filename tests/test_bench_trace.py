@@ -4,7 +4,8 @@ The traced benchmark wraps public names of fistab from outside (see
 bench/spans.py) and reads the caches of ``evaluate_degree``,
 ``mn_character`` and ``standard_tableaux``.  A refactor that renames one
 of them, or routes a call around it, would fail the traced run or zero
-a layer; this runs one traced ``verify`` the way the benchmark does.
+a layer; this runs one traced ``verify``, and the two commands of the
+``table`` workload, the way the benchmark does.
 """
 
 import json
@@ -21,23 +22,42 @@ sys.path.insert(0, BENCH)
 import workloads  # noqa: E402
 
 
-@pytest.fixture(scope="module")
-def trace(tmp_path_factory):
-    path = tmp_path_factory.mktemp("trace") / "spans.json"
+def run_traced(path, *argv) -> tuple[dict, dict]:
+    """Run one fistab command with ``--json`` through the benchmark's
+    traced child; return its output and its recorded trace."""
     result = subprocess.run(
         [
             sys.executable, os.path.join(BENCH, "invoke.py"),
-            "--trace", str(path),
-            "verify", os.path.join(ROOT, "demos", "e.fipres"),
-            "--n", "7", "--json",
+            "--trace", str(path), *argv, "--json",
         ],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONHASHSEED="0"),
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout)["passed"]
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.loads(result.stdout), json.load(handle)
+
+
+@pytest.fixture(scope="module")
+def trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "spans.json"
+    output, trace = run_traced(
+        path, "verify", os.path.join(ROOT, "demos", "e.fipres"), "--n", "7"
+    )
+    assert output["passed"]
+    return trace
+
+
+@pytest.fixture(scope="module")
+def table_traces(tmp_path_factory):
+    """One traced multiplicities and one traced dimension on E: the
+    commands of the table workload, which only the pair of them covers."""
+    folder = tmp_path_factory.mktemp("table")
+    demo = os.path.join(ROOT, "demos", "e.fipres")
+    return [
+        run_traced(folder / f"{command}.json", command, demo)[1]
+        for command in ("multiplicities", "dimension")
+    ]
 
 
 def test_every_required_rational_span_is_recorded(trace):
@@ -56,3 +76,21 @@ def test_verify_builds_the_table_once(trace):
     names = [span[0] for span in trace["spans"]]
     assert names.count("multiplicity.table") == 1
     assert names.count("multiplicity.polynomial") == 1
+
+
+def test_every_required_table_span_is_recorded(table_traces):
+    recorded = {span[0] for trace in table_traces for span in trace["spans"]}
+    missing = set(workloads.REQUIRED_SPANS["table"]) - recorded
+    assert not missing
+
+
+def test_transport_spans_count_cells_and_nonzeros(table_traces):
+    transports = [
+        span for trace in table_traces for span in trace["spans"]
+        if span[0] == "presentation.transport"
+    ]
+    assert transports
+    for span in transports:
+        counts = span[4]
+        assert type(counts["cells"]) is int and type(counts["nnz"]) is int
+        assert 0 <= counts["nnz"] <= counts["cells"]

@@ -5,7 +5,6 @@ import pytest
 
 from fistab.combinatorics import (
     all_injections,
-    box_sign,
     check_partition,
     class_representative,
     class_size,
@@ -26,7 +25,7 @@ from fistab.combinatorics import (
 )
 from fistab.combinatorics import _is_horizontal_strip_extension
 
-from conftest import cycle_type, symmetric_group
+from conftest import box_sign, cycle_type, symmetric_group
 
 
 def brute_force_partitions(k: int) -> set[tuple[int, ...]]:
@@ -155,8 +154,9 @@ class TestPermutations:
 
 
 def box_by_box_hook_count(lam) -> int:
-    """hook_length_count as it was before the product tree: the hook
-    lengths multiplied one box at a time into one growing product."""
+    """factorial(|lam|) // prod(hooks), as hook_length_count was before it
+    cancelled prime exponents: the hook lengths multiplied one box at a
+    time into one growing product, then one long division."""
     conj = conjugate(lam)
     product = 1
     for i, row_len in enumerate(lam):
@@ -213,9 +213,12 @@ class TestStandardTableaux:
         assert standard_tableaux((1,) * 1500) == (tuple((v,) for v in boxes),)
 
     def test_hook_count_matches_box_by_box_product(self):
-        for k in range(13):
+        for k in range(15):
             for lam in partitions(k):
                 assert hook_length_count(lam) == box_by_box_hook_count(lam)
+        # large f^lam, where every prime up to |lam| is left over
+        for lam in ((60,) * 60, tuple(range(70, 0, -1)), (500, 400, 3, 2, 1)):
+            assert hook_length_count(lam) == box_by_box_hook_count(lam)
         for lam in ((100000,), (1,) * 100000):
             assert hook_length_count(lam) == box_by_box_hook_count(lam) == 1
 

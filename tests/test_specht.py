@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fistab.combinatorics import (
     class_representative,
@@ -20,9 +22,15 @@ from fistab.specht import (
     mn_character,
     specht_action,
     specht_raw,
+    specht_rows,
 )
 
-from conftest import beta_set_character, cycle_type, symmetric_group
+from conftest import (
+    beta_set_character,
+    box_sign_block,
+    cycle_type,
+    symmetric_group,
+)
 
 
 def character_of_action(lam, mu):
@@ -66,6 +74,47 @@ class TestRawMatrices:
                     for i in range(inv.nrows)
                     for j in range(inv.ncols)
                 )
+
+
+def nonzero_pairs(matrix) -> list[list[tuple[int, int]]]:
+    """The (column, value) pairs of each row's nonzero entries."""
+    return [[(u, v) for u, v in enumerate(row) if v] for row in matrix]
+
+
+class TestSparseRows:
+    """specht_rows walks only the nonzero tableau pairs; box_sign_block
+    sorts the boxes of every pair, zero or not."""
+
+    def test_every_permutation_up_to_six(self):
+        for k in range(7):
+            for lam in partitions(k):
+                for sigma in symmetric_group(k):
+                    expected = box_sign_block(lam, sigma)
+                    assert specht_raw(lam, sigma) == RationalMatrix(expected)
+                    assert specht_rows(lam, sigma) == nonzero_pairs(expected)
+
+    @pytest.mark.parametrize("k", (7, 8))
+    def test_seeded_permutations(self, k):
+        rng = random.Random(100 + k)
+        for lam in partitions(k):
+            for _ in range(50):
+                sigma = tuple(rng.sample(range(1, k + 1), k))
+                expected = nonzero_pairs(box_sign_block(lam, sigma))
+                assert specht_rows(lam, sigma) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 7).flatmap(lambda k: st.tuples(
+        st.sampled_from(partitions(k)), st.permutations(range(1, k + 1)),
+    )))
+    def test_matches_box_signs(self, case):
+        lam, sigma = case
+        sigma = tuple(sigma)
+        expected = nonzero_pairs(box_sign_block(lam, sigma))
+        assert specht_rows(lam, sigma) == expected
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError):
+            specht_rows((2, 1), (2, 1))
 
 
 class TestActionMatrices:
