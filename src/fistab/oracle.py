@@ -11,19 +11,25 @@ closed form is checked by :func:`verify`.
 The echelon is :class:`fistab.ratmat.Echelon`, the engine behind every
 rank in the package.  Each relation column is scaled once by the lcm of
 its coefficient denominators, which keeps the span, so every relation
-row is a sparse dict of ints.  A row equal, up to a nonzero scalar, to
-one already fed at this degree is dependent and is skipped; the key is
-its sorted items over their content, first value positive, in one flat
-tuple.  Rows repeat when a permutation fixes a relation: on E at n = 10
-only 1,260 of the 5,040 rows reach the echelon.  The echelon keeps
-its basis fully reduced as rows arrive: every basis row is zero at every
-other row's pivot.  The trace on the relation image relies on that
-invariant, because it makes the coordinate of an image vector on a basis
-row the vector's value at that row's pivot, over the pivot value.  The
-first trace at a degree groups the basis rows by pivot value into a
-plan, so each later trace sums plain ints and makes one Fraction per
-pivot value.  The dense relation matrix is built only in the tests, as
-the reference the ranks are checked against.
+row is a sparse dict of ints.  Each term g becomes an itemgetter that
+takes an injection h to h o g, built once per column.  A row equal, up
+to a nonzero scalar, to an earlier one is dependent and is dropped; the
+key is its sorted items over their content, first value positive, in
+one flat tuple.  Rows repeat when a permutation fixes a relation: on E
+at n = 10 only 1,260 of the 5,040 rows are kept.  The kept rows arrive
+with their leading columns mostly rising, so they are fed to the echelon
+last first.  A new pivot then almost always lies left of every kept
+pivot, and no kept row has an entry there to clear: on E at n = 10 the
+595 independent rows clear 1,021 earlier rows, against 17,198 when fed
+first to last.  The echelon keeps its basis fully reduced as rows
+arrive: every basis row is zero at every other row's pivot.  The trace
+on the relation image relies on that invariant, because it makes the
+coordinate of an image vector on a basis row the vector's value at that
+row's pivot, over the pivot value.  The first trace at a degree groups
+the basis rows by pivot value into a plan, so each later trace sums
+plain ints and makes one Fraction per pivot value.  The dense relation
+matrix is built only in the tests, as the reference the ranks are
+checked against.
 
 Decomposition takes one trace per class and adds in that class's whole
 character column (:func:`fistab.specht.character_column`), weighted by
@@ -45,6 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
+from operator import itemgetter
 
 from .budget import ROW_CAP_ENV, ResourceCapError, figure, row_cap
 from .combinatorics import (
@@ -53,7 +60,6 @@ from .combinatorics import (
     check_partition,
     class_representative,
     class_size,
-    compose,
     falling_factorial,
     inverse,
     partitions,
@@ -232,6 +238,18 @@ def _check_class_budget(n: int) -> None:
             )
 
 
+def _precomposer(g):
+    """The map h -> compose(h, g), as an ``operator.itemgetter``.
+
+    An itemgetter of one index returns a bare value, and one of none
+    cannot be made, so arities 1 and 0 take a slice, which keeps the
+    result a tuple for every arity.
+    """
+    if len(g) > 1:
+        return itemgetter(*(v - 1 for v in g))
+    return itemgetter(slice(g[0] - 1, g[0]) if g else slice(0))
+
+
 @lru_cache(maxsize=16)
 def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     offsets = []
@@ -245,8 +263,7 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
         index.append({f: a for a, f in enumerate(block)})
         total += len(block)
 
-    basis = Echelon()
-    seen = set()
+    kept: dict[tuple, list[tuple[int, int]]] = {}
     for j, y in enumerate(z.relation_degrees):
         column = [
             (i, z.entries[(i, j)].terms)
@@ -259,14 +276,15 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
         # the span, and every row it gives is then a row of ints.
         scale = lcm(*(c.denominator for _, terms in column for c in terms.values()))
         column = [
-            (offsets[i], index[i], [(g, int(c * scale)) for g, c in terms.items()])
+            (offsets[i], index[i],
+             [(_precomposer(g), int(c * scale)) for g, c in terms.items()])
             for i, terms in column
         ]
         for h in all_injections(y, n):
             row: dict[int, int] = {}
             for offset, positions, terms in column:
-                for g, coeff in terms:
-                    flat = offset + positions[compose(h, g)]
+                for precompose, coeff in terms:
+                    flat = offset + positions[precompose(h)]
                     row[flat] = row.get(flat, 0) + coeff
             items = sorted((k, v) for k, v in row.items() if v)
             if not items:
@@ -275,10 +293,12 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
             c = gcd(*(v for _, v in items))
             if items[0][1] < 0:
                 c = -c
-            key = tuple(x for k, v in items for x in (k, v // c))
-            if key not in seen:
-                seen.add(key)
-                basis.add_row(dict(items))
+            kept.setdefault(tuple(x for k, v in items for x in (k, v // c)), items)
+    # last row first: a new pivot then almost always lies left of every
+    # kept pivot, where no kept row has an entry to clear
+    basis = Echelon()
+    for items in reversed(kept.values()):
+        basis.add_row(dict(items))
     return DegreeEvaluation(
         n=n,
         ambient_dim=total,

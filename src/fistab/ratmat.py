@@ -15,9 +15,12 @@ the reduced row echelon form of the rows' span, whatever order the rows
 came in.  Because the basis is reduced, a new row is reduced in one pass:
 its value at each pivot it hits, over that pivot value, is the multiplier
 of that basis row.  An independent row then clears its pivot column, in
-place, from the rows already kept.  The oracle relies on the invariant to
-read the coordinate of an image vector on a basis row straight off that
-row's pivot.
+place, from the rows already kept.  The basis does not depend on the
+order the rows are fed in, but the cost does: a pivot left of every kept
+pivot has nothing to clear.  ``RationalMatrix.rank`` and the oracle get
+rows whose leading columns mostly rise, so they feed them last first.
+The oracle relies on the invariant to read the coordinate of an image
+vector on a basis row straight off that row's pivot.
 
 The transported matrices of the closed form are a few percent nonzero,
 and so are the relation matrices of the brute-force oracle, which feeds
@@ -61,6 +64,12 @@ class Echelon:
     column is c, its value there is positive, its content is 1, and it is
     zero at every other pivot column.  ``pivots`` lists the pivot columns
     in the order of ``rows``.
+
+    The basis, as a map from pivot column to row, is the same for any
+    order the rows are fed in; only the order of ``rows`` follows the
+    feed.  The cost does depend on the order.  Rows whose leading
+    columns fall are the cheap order: each new pivot then lies left of
+    the kept pivots, where the kept rows are almost always zero.
     """
 
     def __init__(self):
@@ -75,7 +84,9 @@ class Echelon:
         values it hits, and the basis row with pivot c and pivot value p is
         subtracted L * row[c] / p times, all in one pass into one new dict.
         An independent row then clears its pivot column, in place, from
-        the rows already kept.  The given dict is never changed.
+        every kept row that is nonzero there, which is the cost a feed in
+        falling order of leading columns avoids.  The given dict is never
+        changed.
         """
         rows, pivots = self.rows, self.pivots
         hits = [(rows[pivots[c]], c, v) for c, v in row.items() if c in pivots]
@@ -232,10 +243,11 @@ class RationalMatrix:
         """Exact rank over the rationals, by sparse integer row echelon.
 
         Each row is scaled by the lcm of its denominators, which keeps the
-        rank, and its nonzero entries go to an :class:`Echelon`.
+        rank, and its nonzero entries go to an :class:`Echelon`, last row
+        first.
         """
         echelon = Echelon()
-        for entries, _ in self._integer_rows():
+        for entries, _ in reversed(list(self._integer_rows())):
             echelon.add_row(entries)
         return echelon.rank
 

@@ -128,6 +128,12 @@ class TestRank:
             assert m.rank() == gauss_rank(rows, nc)
 
 
+def pivot_rows(echelon) -> dict[int, dict[int, int]]:
+    """Each basis row keyed by its pivot column: the basis, whatever
+    order its rows were kept in."""
+    return {col: echelon.rows[idx] for col, idx in echelon.pivots.items()}
+
+
 def sparse(row) -> dict[int, int]:
     return {j: v for j, v in enumerate(row) if v}
 
@@ -164,7 +170,7 @@ class TestEchelon:
             echelon = Echelon()
             for row in order:
                 echelon.add_row(sparse(row))
-            bases.append({col: echelon.rows[idx] for col, idx in echelon.pivots.items()})
+            bases.append(pivot_rows(echelon))
         assert bases[0] == bases[1]
 
 
