@@ -4,8 +4,9 @@
 a degree; the oracle scales it for relation columns and character
 values (see :mod:`fistab.oracle`).  The closed form and the ``specht``
 and ``amatrix`` commands scale it to a budget of 2000 times the cap on
-the cells of one dense matrix (:func:`check_cells`), 10 M cells at the
-default.
+the rows times the columns of one matrix (:func:`check_cells`), 10 M
+cells at the default.  The budget counts every cell, though a matrix
+stores only its nonzero entries.
 """
 
 import os

@@ -371,8 +371,7 @@ def _cmd_amatrix(args) -> int:
     check_transport_size(z, shape)
     matrix = induced_raw_presentation(shape, z)
     row_labels, col_labels = _amatrix_labels(z, shape)
-    cells = [[str(matrix[i, j]) for j in range(matrix.ncols)]
-             for i in range(matrix.nrows)]
+    cells = matrix.cells()
     widths = [
         max([len(col_labels[j])] + [len(cells[i][j]) for i in range(matrix.nrows)])
         for j in range(matrix.ncols)

@@ -20,10 +20,10 @@ fistab.specht).
 The transported matrix of a presentation is assembled in one pass.  Each
 distinct block is built once per matrix by specht_rows, straight as the
 (column, sign) pairs of its nonzero entries, and added times its
-coefficient into the output rows.  The induced module of any
+coefficient into the sparse output rows.  The induced module of any
 symmetric-group representation (``induced_block_action``, and
-``induced_action`` for specht_action) is built by the same routine, with
-that representation's matrices read into the same pairs.
+``induced_action`` for specht_action) is built by the same routine from
+that representation's matrix rows, which are stored as the same pairs.
 """
 
 from fractions import Fraction
@@ -208,7 +208,8 @@ def _transport(block, k: int, dim: int, row_degrees, col_degrees,
     injections to coefficients.  The term f with coefficient c adds c
     times block(sorting_permutation(f o p)) at block row (i, p) and block
     column (j, monotone_part(f o p)).  Each distinct block is built once,
-    and only its nonzero entries are added into the output rows.
+    and only its nonzero entries are added into the output rows, each a
+    dict from column to value.
     """
     row_offsets = []
     nrows = 0
@@ -221,7 +222,7 @@ def _transport(block, k: int, dim: int, row_degrees, col_degrees,
         col_offsets.append(ncols)
         ncols += len(monotone_injections(k, y)) * dim
 
-    out = [[0] * ncols for _ in range(nrows)]
+    out = [{} for _ in range(nrows)]
     block_rows = {}
     for (i, j), terms in entries.items():
         sources = monotone_injections(k, row_degrees[i])
@@ -243,8 +244,9 @@ def _transport(block, k: int, dim: int, row_degrees, col_degrees,
                 for t, row_pairs in enumerate(pairs):
                     row = out[r0 + t]
                     for c, v in row_pairs:
-                        row[base + c] += coeff * v
-    return RationalMatrix(out, ncols=ncols)
+                        c += base
+                        row[c] = row.get(c, 0) + coeff * v
+    return RationalMatrix(out, ncols)
 
 
 def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalMatrix:
@@ -270,11 +272,11 @@ def augmentation_matrix(z: PresentationMatrix) -> RationalMatrix:
     shape's transported presentation.
     """
     out = [
-        [sum(z.entry(i, j).terms.values(), Fraction(0))
-         for j in range(z.num_relations)]
+        {j: sum(z.entry(i, j).terms.values(), Fraction(0))
+         for j in range(z.num_relations)}
         for i in range(z.num_generators)
     ]
-    return RationalMatrix(out, ncols=z.num_relations)
+    return RationalMatrix(out, z.num_relations)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +305,7 @@ def induced_block_action(rep, k: int, f, target: int) -> RationalMatrix:
                 f"block of {sigma} is {matrix.nrows}x{matrix.ncols}, "
                 f"expected {dim}x{dim}"
             )
-        return [[(c, v) for c, v in enumerate(row) if v] for row in matrix.rows]
+        return matrix.rows
 
     return _transport(block, k, dim, (len(f),), (target,), {(0, 0): {f: 1}})
 

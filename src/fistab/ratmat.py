@@ -1,9 +1,10 @@
 """Exact rational matrices and the one exact elimination engine.
 
 Entries are Python ints or ``fractions.Fraction``; integral fractions are
-normalized to int on construction, and rows that hold only ints are kept
-as given, so the common all-integer case runs on fast machine arithmetic.
-Rows are stored dense, as tuples.
+normalized to int on construction.  Each row is stored sparse, as the
+tuple of its nonzero (column, value) pairs in increasing column order:
+the format the Specht blocks and the transported matrices are built in,
+so no zero cell is ever allocated.
 
 Every rank and every inverse in the package comes from :class:`Echelon`,
 an incremental exact integer row echelon over sparse rows (dicts from
@@ -37,7 +38,6 @@ Matrices are immutable values; every operation returns a fresh matrix.
 """
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 
 
@@ -50,11 +50,9 @@ def _norm(v):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(v)!r}")
 
 
-def _norm_row(row) -> tuple:
-    row = tuple(row)
-    if set(map(type, row)) <= {int}:
-        return row
-    return tuple(map(_norm, row))
+def _sparse_row(row) -> tuple:
+    """The nonzero entries of a row, as sorted (column, value) pairs."""
+    return tuple(sorted((j, _norm(v)) for j, v in dict(row).items() if v))
 
 
 class Echelon:
@@ -147,21 +145,21 @@ class SingularMatrixError(ValueError):
 
 
 class RationalMatrix:
-    """An immutable nrows x ncols matrix over the rationals."""
+    """An immutable nrows x ncols matrix over the rationals.
+
+    ``rows[i]`` holds the nonzero entries of row i: a tuple of
+    (column, value) pairs in increasing column order, each value an int or
+    a non-integral Fraction.  No zero is stored, so two equal matrices have
+    equal rows.  The constructor takes each row as a dict from column to
+    value, or as an iterable of such pairs.
+    """
 
     __slots__ = ("rows", "nrows", "ncols")
 
-    def __init__(self, rows, ncols: int | None = None):
-        rows = tuple(map(_norm_row, rows))
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError(f"ncols={ncols} but rows have width {width}")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
+    def __init__(self, rows, ncols: int):
+        rows = tuple(map(_sparse_row, rows))
+        if any(row and not (0 <= row[0][0] and row[-1][0] < ncols) for row in rows):
+            raise ValueError(f"a column lies outside range({ncols})")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
@@ -169,17 +167,11 @@ class RationalMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RationalMatrix is immutable")
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, key):
         i, j = key
-        return self.rows[i][j]
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} outside range({self.ncols})")
+        return dict(self.rows[i]).get(j, 0)
 
     def __eq__(self, other):
         return (
@@ -194,12 +186,21 @@ class RationalMatrix:
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols})"
 
+    def cells(self) -> list[list[str]]:
+        """Every entry as text, row by row, zeros included."""
+        out = []
+        for row in self.rows:
+            line = ["0"] * self.ncols
+            for j, v in row:
+                line[j] = str(v)
+            out.append(line)
+        return out
+
     def __str__(self):
         if self.nrows == 0 or self.ncols == 0:
             return f"(empty {self.nrows}x{self.ncols} matrix)"
-        cells = [[str(v) for v in row] for row in self.rows]
-        widths = [max(len(cells[i][j]) for i in range(self.nrows))
-                  for j in range(self.ncols)]
+        cells = self.cells()
+        widths = [max(map(len, column)) for column in zip(*cells)]
         return "\n".join(
             "[ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]"
             for row in cells
@@ -213,26 +214,22 @@ class RationalMatrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}"
             )
-        out = [[0] * other.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            acc = out[i]
-            for l, a in enumerate(row):
-                if a == 0:
-                    continue
-                brow = other.rows[l]
-                for j, b in enumerate(brow):
-                    if b != 0:
-                        acc[j] += a * b
-        return RationalMatrix(out, ncols=other.ncols)
+        out = []
+        for row in self.rows:
+            acc = {}
+            for l, a in row:
+                for j, b in other.rows[l]:
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(acc)
+        return RationalMatrix(out, other.ncols)
 
     # -- rank and inverse ---------------------------------------------------
 
     def _integer_rows(self):
         """Each row's nonzero entries as a sparse dict, times the lcm of
         their denominators, paired with that lcm."""
-        columns = range(self.ncols)
         for row in self.rows:
-            entries = {j: row[j] for j in compress(columns, row)}
+            entries = dict(row)
             scale = 1
             if Fraction in set(map(type, entries.values())):
                 scale = lcm(*(v.denominator for v in entries.values()))
@@ -283,8 +280,8 @@ class RationalMatrix:
         for col, idx in echelon.pivots.items():
             row = echelon.rows[idx]
             lead = row[col]
-            out[col] = [Fraction(row.get(n + j, 0), lead) for j in range(n)]
-        return RationalMatrix(out, ncols=n)
+            out[col] = {j - n: Fraction(v, lead) for j, v in row.items() if j >= n}
+        return RationalMatrix(out, n)
 
 
 __all__ = [

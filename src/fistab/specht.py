@@ -137,16 +137,12 @@ def specht_raw(lam: Partition, sigma) -> RationalMatrix:
     """The tableau-pairing matrix of sigma for shape lam.
 
     Rows and columns run over standard_tableaux(lam) in canonical order,
-    and the nonzero entries are those of specht_rows.  Invertible over
-    the integers, but not yet multiplicative: see specht_action for the
-    corrected module.
+    and the rows are those of specht_rows.  Invertible over the integers,
+    but not yet multiplicative: see specht_action for the corrected
+    module.
     """
-    sparse = specht_rows(lam, sigma)
-    out = [[0] * len(sparse) for _ in sparse]
-    for row, pairs in zip(out, sparse):
-        for u, v in pairs:
-            row[u] = v
-    return RationalMatrix(out)
+    rows = specht_rows(lam, sigma)
+    return RationalMatrix(rows, len(rows))
 
 
 @cache

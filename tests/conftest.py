@@ -21,6 +21,33 @@ from fistab.combinatorics import (
 from fistab.ratmat import RationalMatrix
 
 
+def dense(rows, ncols=None) -> RationalMatrix:
+    """The matrix of a list of dense rows, each ncols entries long; ncols
+    defaults to the length of the first row, or 0 without rows."""
+    rows = [list(row) for row in rows]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged rows")
+    return RationalMatrix([enumerate(row) for row in rows], ncols)
+
+
+def dense_rows(m: RationalMatrix) -> tuple:
+    """Every row of m in full, zeros included, as a tuple of tuples."""
+    return tuple(
+        tuple(entries.get(j, 0) for j in range(m.ncols))
+        for entries in map(dict, m.rows)
+    )
+
+
+def zeros(nrows: int, ncols: int) -> RationalMatrix:
+    return RationalMatrix([()] * nrows, ncols)
+
+
+def identity_matrix(n: int) -> RationalMatrix:
+    return RationalMatrix([[(i, 1)] for i in range(n)], n)
+
+
 def symmetric_group(k: int):
     """All permutations of [k], in lexicographic order."""
     return list(permutations(range(1, k + 1)))
@@ -239,7 +266,7 @@ def reference_transport(lam, z: PresentationMatrix) -> RationalMatrix:
                         out[r0 + ti][c0 + uj] += coeff * box_sign(
                             rows_by_u[uj], col_words[ti]
                         )
-    return RationalMatrix(out, ncols=ncols)
+    return dense(out, ncols)
 
 
 class ReferenceEchelon:

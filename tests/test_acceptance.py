@@ -29,12 +29,12 @@ from fistab.multiplicity import (
 )
 from fistab.oracle import decompose_at, dimension_at, verify
 from fistab.presentation import induced_block_action
-from fistab.ratmat import RationalMatrix
 from fistab.specht import specht_action, specht_raw
 
 from conftest import (
     E_FILE,
     beta_set_character,
+    dense,
     free_module,
     induced_raw,
     induced_raw_sum,
@@ -170,7 +170,7 @@ def test_criterion_7_golden_matrices(e_presentation):
     # tableau pairing matrix of the identity for shape (2, 2, 1); rows and
     # columns in canonical (ascending reading word) order, which is the
     # order of the worked example
-    assert specht_raw((2, 2, 1), identity(5)) == RationalMatrix([
+    assert specht_raw((2, 2, 1), identity(5)) == dense([
         [1, 0, 0, 0, 1],
         [0, -1, 0, 0, 0],
         [0, 0, -1, 0, 0],
@@ -178,13 +178,13 @@ def test_criterion_7_golden_matrices(e_presentation):
         [0, 0, 0, 0, -1],
     ])
     # transport of the inclusion [3] -> [4] for the single-row shape
-    assert induced_raw((2,), (1, 2, 3), 4) == RationalMatrix([
+    assert induced_raw((2,), (1, 2, 3), 4) == dense([
         [1, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0],
         [0, 0, 0, 1, 0, 0],
     ])
     # the four-term cyclic sum
-    assert induced_raw_sum((2,), e_presentation.entry(0, 0)) == RationalMatrix([
+    assert induced_raw_sum((2,), e_presentation.entry(0, 0)) == dense([
         [1, 0, 1, 1, 0, 1],
         [0, 2, 0, 0, 2, 0],
         [1, 0, 1, 1, 0, 1],
@@ -192,7 +192,7 @@ def test_criterion_7_golden_matrices(e_presentation):
     # hook shape (2, 1): canonical order puts the tableau (1 2 / 3) first,
     # the worked example lists (1 3 / 2) first, so its diag(-1, +1) block
     # appears here as diag(+1, -1)
-    assert induced_raw((2, 1), (1, 2, 3), 4) == RationalMatrix([
+    assert induced_raw((2, 1), (1, 2, 3), 4) == dense([
         [1, 0, 0, 0, 0, 0, 0, 0],
         [0, -1, 0, 0, 0, 0, 0, 0],
     ])

@@ -5,7 +5,9 @@ bench/spans.py) and reads the caches of ``evaluate_degree``,
 ``mn_character`` and ``standard_tableaux``.  A refactor that renames one
 of them, or routes a call around it, would fail the traced run or zero
 a layer; this runs one traced ``verify``, and the two commands of the
-``table`` workload, the way the benchmark does.
+``table`` workload, the way the benchmark does.  The nonzeros the
+benchmark counts on the transported matrices are checked against the
+reference transport.
 """
 
 import json
@@ -14,6 +16,10 @@ import subprocess
 import sys
 
 import pytest
+
+from fistab.combinatorics import partitions
+
+from conftest import dense_rows, reference_transport
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
@@ -94,3 +100,20 @@ def test_transport_spans_count_cells_and_nonzeros(table_traces):
         counts = span[4]
         assert type(counts["cells"]) is int and type(counts["nnz"]) is int
         assert 0 <= counts["nnz"] <= counts["cells"]
+
+
+def test_transport_nonzeros_match_the_reference(table_traces, e_presentation):
+    # the benchmark counts a row's stored entries that are not 0, which is
+    # its nonzeros only while a matrix stores no zero entry
+    counted = sum(
+        span[4]["nnz"] for span in table_traces[0]["spans"]
+        if span[0] == "presentation.transport"
+    )
+    expected = sum(
+        v != 0
+        for size in range(e_presentation.max_generator_degree + 1)
+        for lam in partitions(size)
+        for row in dense_rows(reference_transport(lam, e_presentation))
+        for v in row
+    )
+    assert counted == expected

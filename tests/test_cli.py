@@ -191,6 +191,17 @@ class TestCommands:
         assert main(["specht", "--shape", "1,1", "--perm", "2,1"]) == 0
         assert capsys.readouterr().out == "[ -1 ]\n"
 
+    def test_specht_golden_output(self, capsys):
+        # negative entries, and columns of different widths
+        assert main(["specht", "--shape", "3,2", "--perm", "2,3,1,5,4"]) == 0
+        assert capsys.readouterr().out == (
+            "[ 1  0  0  -1  -1 ]\n"
+            "[ 0  0  0   0  -1 ]\n"
+            "[ 0  0  0  -1   0 ]\n"
+            "[ 0  0  1   0  -1 ]\n"
+            "[ 0  1  0  -1   0 ]\n"
+        )
+
     def test_specht_size_mismatch(self, capsys):
         assert main(["specht", "--shape", "2", "--perm", "1,3,2"]) == 2
         assert "size" in capsys.readouterr().err
@@ -203,6 +214,26 @@ class TestCommands:
             "12×t1", "13×t1", "14×t1", "23×t1", "24×t1", "34×t1",
         ]
         assert out[2].split() == ["12×t1", "[", "1", "0", "1", "1", "0", "1", "]"]
+
+    def test_amatrix_golden_output(self, tmp_path, capsys):
+        # two generators and two relations label blocks g1:, r1:, ...;
+        # fraction cells, one wider than its label
+        path = tmp_path / "two.fipres"
+        path.write_text(
+            "generators: 1 2\nrelations: 2 3\n"
+            "entry 1 1 : 1/2*[1] - [2]\n"
+            "entry 1 2 : -11/1000*[3] + [1]\n"
+            "entry 2 1 : [2 1] + 3*[1 2]\n"
+            "entry 2 2 : 1/2*[3 1] - [1 2]\n"
+        )
+        assert main(["amatrix", str(path), "--shape", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "3x5 matrix for shape [1]\n"
+            "         r1:1×t1 r1:2×t1 r2:1×t1 r2:2×t1  r2:3×t1\n"
+            "g1:1×t1 [     1/2      -1       1       0 -11/1000 ]\n"
+            "g2:1×t1 [       3       1      -1       0      1/2 ]\n"
+            "g2:2×t1 [       1       3     1/2      -1        0 ]\n"
+        )
 
     def test_amatrix_empty_shape(self, e_file, capsys):
         assert main(["amatrix", e_file, "--shape", "0"]) == 0

@@ -39,6 +39,8 @@ from conftest import (
     ReferenceEchelon,
     beta_set_character,
     cycle_type,
+    dense,
+    dense_rows,
     free_module,
     random_low_relation_presentation,
     random_presentation,
@@ -83,7 +85,7 @@ def relation_matrix_at(z: PresentationMatrix, n: int) -> RationalMatrix:
                 for g, coeff in z.entries[(i, j)].terms.items():
                     out[offsets[i] + index[i][compose(h, g)]][col] += coeff
             col += 1
-    return RationalMatrix(out, ncols=ncols)
+    return dense(out, ncols)
 
 
 def with_rational_terms(z: PresentationMatrix, rng: random.Random):
@@ -208,7 +210,7 @@ class TestRelationMatrix:
             for n in range(6):
                 dense = relation_matrix_at(z, n)
                 ev = evaluate_degree(z, n)
-                assert gauss_rank(dense.rows, dense.ncols) == ev.rank
+                assert gauss_rank(dense_rows(dense), dense.ncols) == ev.rank
                 assert dense.rank() == ev.rank
                 assert ev.cokernel_dim == dense.nrows - ev.rank
 
@@ -219,7 +221,7 @@ class TestRelationMatrix:
         )
         m = relation_matrix_at(z, 2)
         # rows: injections (1,), (2,); columns: (1,2) and (2,1)
-        assert m.rows == ((1, -1), (-1, 1))
+        assert dense_rows(m) == ((1, -1), (-1, 1))
 
 
 def every_relation_row_basis(z: PresentationMatrix, n: int) -> ReferenceEchelon:
@@ -227,7 +229,7 @@ def every_relation_row_basis(z: PresentationMatrix, n: int) -> ReferenceEchelon:
     of its denominators, fed in order to the reference echelon: the
     oracle's evaluation without skipping repeated rows."""
     echelon = ReferenceEchelon()
-    for column in zip(*relation_matrix_at(z, n).rows):
+    for column in zip(*dense_rows(relation_matrix_at(z, n))):
         column = {i: Fraction(v) for i, v in enumerate(column) if v}
         scale = lcm(*(v.denominator for v in column.values()))
         echelon.add_row({i: int(v * scale) for i, v in column.items()})

@@ -24,17 +24,20 @@ from fistab.presentation import (
     induced_block_action,
     induced_raw_presentation,
 )
-from fistab.ratmat import RationalMatrix
 from fistab.specht import specht_action, specht_raw
 
 from conftest import (
     beta_set_character,
+    dense,
+    dense_rows,
     free_module,
+    identity_matrix,
     induced_raw,
     induced_raw_sum,
     random_presentation,
     reference_transport,
     symmetric_group,
+    zeros,
 )
 from test_ratmat import gauss_rank
 
@@ -95,7 +98,7 @@ class TestTransportOfInjections:
     def test_single_row_shape_golden(self):
         # three monotone injections into [3], six into [4], one tableau:
         # transporting 1->1, 2->2, 3->3 matches images of pairs
-        expected = RationalMatrix([
+        expected = dense([
             [1, 0, 0, 0, 0, 0],
             [0, 1, 0, 0, 0, 0],
             [0, 0, 0, 1, 0, 0],
@@ -103,17 +106,17 @@ class TestTransportOfInjections:
         assert induced_raw((2,), (1, 2, 3), 4) == expected
 
     def test_remaining_cyclic_injections_golden(self):
-        assert induced_raw((2,), (2, 3, 4), 4) == RationalMatrix([
+        assert induced_raw((2,), (2, 3, 4), 4) == dense([
             [0, 0, 0, 1, 0, 0],
             [0, 0, 0, 0, 1, 0],
             [0, 0, 0, 0, 0, 1],
         ])
-        assert induced_raw((2,), (3, 4, 1), 4) == RationalMatrix([
+        assert induced_raw((2,), (3, 4, 1), 4) == dense([
             [0, 0, 0, 0, 0, 1],
             [0, 1, 0, 0, 0, 0],
             [0, 0, 1, 0, 0, 0],
         ])
-        assert induced_raw((2,), (4, 1, 2), 4) == RationalMatrix([
+        assert induced_raw((2,), (4, 1, 2), 4) == dense([
             [0, 0, 1, 0, 0, 0],
             [0, 0, 0, 0, 1, 0],
             [1, 0, 0, 0, 0, 0],
@@ -123,7 +126,7 @@ class TestTransportOfInjections:
         # shape (2, 1) and the inclusion of [3] in [4]; canonical tableau
         # order puts rows (1 2 / 3) before (1 3 / 2), so the nonzero block
         # is diag(+1, -1) (the reverse tableau order shows diag(-1, +1))
-        expected = RationalMatrix([
+        expected = dense([
             [1, 0, 0, 0, 0, 0, 0, 0],
             [0, -1, 0, 0, 0, 0, 0, 0],
         ])
@@ -131,7 +134,7 @@ class TestTransportOfInjections:
 
     def test_empty_shape_is_augmentation(self):
         for f in all_injections(2, 4):
-            assert induced_raw((), f, 4) == RationalMatrix([[1]])
+            assert induced_raw((), f, 4) == dense([[1]])
 
     def test_shape_larger_than_source(self):
         m = induced_raw((3,), (1, 2), 4)
@@ -157,7 +160,7 @@ class TestTransportOfInjections:
 
 class TestTransportOfSums:
     def test_cyclic_sum_golden(self, e_presentation):
-        expected = RationalMatrix([
+        expected = dense([
             [1, 0, 1, 1, 0, 1],
             [0, 2, 0, 0, 2, 0],
             [1, 0, 1, 1, 0, 1],
@@ -167,7 +170,7 @@ class TestTransportOfSums:
 
     def test_zero_sum(self):
         m = induced_raw_sum((1,), FormalSum(2, 3))
-        assert m == RationalMatrix.zeros(2 * 1, 3 * 1)
+        assert m == zeros(2 * 1, 3 * 1)
 
     def test_single_box_corank(self, e_presentation):
         assert induced_raw_sum((1,), e_presentation.entry(0, 0)).corank() == 2
@@ -191,10 +194,10 @@ class TestTransportOfSums:
             a, b = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2), 2)
             combined = induced_raw_sum(lam, s.scale(a) + t.scale(b))
             ms, mt = induced_raw_sum(lam, s), induced_raw_sum(lam, t)
-            split = RationalMatrix(
+            split = dense(
                 [[a * u + b * v for u, v in zip(rs, rt)]
-                 for rs, rt in zip(ms.rows, mt.rows)],
-                ncols=ms.ncols,
+                 for rs, rt in zip(dense_rows(ms), dense_rows(mt))],
+                ms.ncols,
             )
             assert combined == split
 
@@ -226,7 +229,7 @@ class TestTransportOfPresentations:
         assert (m.nrows, m.ncols) == (3, 5)
 
     def test_augmentation_examples(self, e_presentation):
-        assert augmentation_matrix(e_presentation) == RationalMatrix([[4]])
+        assert augmentation_matrix(e_presentation) == dense([[4]])
         empty = PresentationMatrix((), ())
         assert augmentation_matrix(empty).nrows == 0
         assert augmentation_matrix(empty).ncols == 0
@@ -287,7 +290,7 @@ class TestTransportEquivalence:
     def test_rank_matches_gauss_jordan(self, z):
         for lam in _table_shapes(z):
             m = induced_raw_presentation(lam, z)
-            assert m.rank() == gauss_rank(m.rows, m.ncols)
+            assert m.rank() == gauss_rank(dense_rows(m), m.ncols)
 
 
 def regular_representation(k: int):
@@ -299,7 +302,7 @@ def regular_representation(k: int):
         out = [[0] * len(group) for _ in range(len(group))]
         for a, g in enumerate(group):
             out[a][index[compose(sigma, g)]] = 1
-        return RationalMatrix(out)
+        return dense(out)
 
     return rep
 
@@ -311,13 +314,13 @@ class TestBlockFunctor:
         rep = lambda s: specht_action((2,), s)
         m = induced_block_action(rep, 2, (1, 3), 3)
         cols = monotone_injections(2, 3)
-        expected = {(0, cols.index((1, 3))): RationalMatrix.identity(1)}
+        expected = {(0, cols.index((1, 3))): identity_matrix(1)}
         for j in range(len(cols)):
-            block = RationalMatrix([[m[0, j]]])
-            assert block == expected.get((0, j), RationalMatrix.zeros(1, 1))
+            block = dense([[m[0, j]]])
+            assert block == expected.get((0, j), zeros(1, 1))
 
     def test_trivial_representation_gives_zero_one_matrix(self):
-        rep = lambda s: RationalMatrix([[1]])
+        rep = lambda s: dense([[1]])
         for x in range(4):
             for y in range(x, 5):
                 for f in all_injections(x, y):
@@ -330,17 +333,17 @@ class TestBlockFunctor:
     def test_identity_maps_to_identity(self):
         rep = lambda s: specht_action((2, 1), s)
         m = induced_block_action(rep, 3, identity(4), 4)
-        assert m == RationalMatrix.identity(m.nrows)
+        assert m == identity_matrix(m.nrows)
 
     def test_wrong_size_rep_raises(self):
         # rep must give every block the size it has at the identity
         def rep(sigma):
-            return RationalMatrix.identity(1 if sigma == (1, 2) else 2)
+            return identity_matrix(1 if sigma == (1, 2) else 2)
 
         with pytest.raises(ValueError, match="expected 1x1"):
             induced_block_action(rep, 2, (2, 1, 3), 3)
         with pytest.raises(ValueError, match="expected 1x1"):
-            induced_block_action(lambda s: RationalMatrix([[1, 0]]), 1, (1,), 2)
+            induced_block_action(lambda s: dense([[1, 0]]), 1, (1,), 2)
 
     @pytest.mark.parametrize("k", range(4))
     def test_functor_law_small(self, k):
@@ -374,7 +377,7 @@ class TestInducedAction:
             for k in range(x + 1):
                 for lam in partitions(k):
                     unit = induced_raw(lam, identity(x), x)
-                    assert unit * unit.inverse() == RationalMatrix.identity(unit.nrows)
+                    assert unit * unit.inverse() == identity_matrix(unit.nrows)
 
     def test_matches_unit_corrected_raw_transport(self):
         # induced_action as it was built before it went through
@@ -396,12 +399,12 @@ class TestInducedAction:
             for k in range(x + 1):
                 for lam in partitions(k):
                     m = induced_action(lam, identity(x), x)
-                    assert m == RationalMatrix.identity(m.nrows)
+                    assert m == identity_matrix(m.nrows)
 
     def test_swap_on_one_box_shape(self):
         # brute-forced from the block formula: the two monotone injections
         # [1] -> [2] exchange places
-        assert induced_action((1,), (2, 1), 2) == RationalMatrix([[0, 1], [1, 0]])
+        assert induced_action((1,), (2, 1), 2) == dense([[0, 1], [1, 0]])
 
     def test_row_count_is_binomial(self):
         for k in range(4):

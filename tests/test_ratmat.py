@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fistab.combinatorics import partitions
 from fistab.ratmat import Echelon, RationalMatrix, SingularMatrixError
+from fistab.specht import specht_raw, specht_rows
 
-from conftest import ReferenceEchelon
+from conftest import (
+    ReferenceEchelon,
+    dense,
+    dense_rows,
+    identity_matrix,
+    symmetric_group,
+)
 
 
 def gauss_rank(rows, ncols) -> int:
@@ -41,40 +49,112 @@ small_matrices = st.integers(0, 6).flatmap(
 
 class TestConstruction:
     def test_normalizes_integral_fractions(self):
-        m = RationalMatrix([[Fraction(4, 2), Fraction(1, 3)]])
+        m = dense([[Fraction(4, 2), Fraction(1, 3)]])
         assert isinstance(m[0, 0], int) and m[0, 0] == 2
         assert m[0, 1] == Fraction(1, 3)
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
-            RationalMatrix([[1, 2], [3]])
+            dense([[1, 2], [3]])
 
     def test_zero_dimensions(self):
         assert RationalMatrix([], ncols=5).nrows == 0
         assert RationalMatrix([(), (), ()], ncols=0).nrows == 3
 
     def test_immutable(self):
-        m = RationalMatrix([[1]])
+        m = dense([[1]])
         with pytest.raises(AttributeError):
             m.rows = ((2,),)
 
     def test_equality_and_hash(self):
-        a = RationalMatrix([[1, 2]])
-        b = RationalMatrix([[Fraction(2, 2), 2]])
+        a = dense([[1, 2]])
+        b = dense([[Fraction(2, 2), 2]])
         assert a == b
         assert hash(a) == hash(b)
-        assert a != RationalMatrix([[1], [2]])
+        assert a != dense([[1], [2]])
+
+
+mixed_entries = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+)
+
+
+def dense_lists(nrows, ncols):
+    """nrows dense rows of ncols entries: zeros, ints, integral Fractions
+    and non-integral Fractions."""
+    return st.lists(
+        st.lists(mixed_entries, min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows,
+    )
+
+
+def assert_row_format(m):
+    """Each row holds its nonzero entries once, by increasing column, as
+    ints or non-integral Fractions."""
+    for row in m.rows:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns))
+        assert all(0 <= j < m.ncols for j in columns)
+        for _, v in row:
+            assert v != 0
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+class TestRowFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
+           .flatmap(lambda d: st.tuples(
+               dense_lists(d[0], d[1]), dense_lists(d[1], d[2]), st.just(d))))
+    def test_rows_and_products(self, data):
+        a, b, (_, n, c) = data
+        ma, mb = dense(a, n), dense(b, c)
+        for m, rows in ((ma, a), (mb, b)):
+            assert_row_format(m)
+            assert dense_rows(m) == tuple(map(tuple, rows))
+        product = ma * mb
+        assert_row_format(product)
+        assert dense_rows(product) == tuple(
+            tuple(sum(row[l] * b[l][j] for l in range(n)) for j in range(c))
+            for row in a
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: dense_lists(n, n)))
+    def test_inverses(self, rows):
+        m = dense(rows)
+        if gauss_rank(rows, m.ncols) < m.nrows:
+            return
+        assert_row_format(m.inverse())
+
+    def test_takes_dicts_and_pairs(self):
+        m = RationalMatrix([{2: Fraction(3, 3), 0: 0}, [(1, Fraction(1, 2))]], 3)
+        assert m.rows == (((2, 1),), ((1, Fraction(1, 2)),))
+        assert_row_format(m)
+
+    def test_rejects_a_column_out_of_range(self):
+        with pytest.raises(ValueError):
+            RationalMatrix([{3: 1}], 3)
+        with pytest.raises(ValueError):
+            RationalMatrix([{-1: 1}], 3)
+
+    def test_specht_raw_rows_are_specht_rows(self):
+        for k in range(6):
+            for lam in partitions(k):
+                for sigma in symmetric_group(k):
+                    rows = specht_rows(lam, sigma)
+                    assert specht_raw(lam, sigma).rows == tuple(map(tuple, rows))
 
 
 class TestRing:
     def test_identity_is_neutral(self):
-        m = RationalMatrix([[1, 2, 3], [4, 5, 6]])
-        assert m * RationalMatrix.identity(3) == m
-        assert RationalMatrix.identity(2) * m == m
+        m = dense([[1, 2, 3], [4, 5, 6]])
+        assert m * identity_matrix(3) == m
+        assert identity_matrix(2) * m == m
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            RationalMatrix([[1, 2]]) * RationalMatrix([[1, 2]])
+            dense([[1, 2]]) * dense([[1, 2]])
 
 
 class TestRank:
@@ -83,11 +163,11 @@ class TestRank:
 
     def test_identity(self):
         for k in range(5):
-            assert RationalMatrix.identity(k).rank() == k
+            assert identity_matrix(k).rank() == k
 
     def test_pinned_rank_two(self):
         # the 3x6 summed transport matrix of the running example has rank 2
-        m = RationalMatrix([
+        m = dense([
             [1, 0, 1, 1, 0, 1],
             [0, 2, 0, 0, 2, 0],
             [1, 0, 1, 1, 0, 1],
@@ -103,16 +183,16 @@ class TestRank:
     @given(small_matrices)
     def test_matches_gaussian_oracle(self, data):
         rows, ncols = data
-        m = RationalMatrix(rows, ncols=ncols)
+        m = dense(rows, ncols)
         assert m.rank() == gauss_rank(rows, ncols)
 
     @settings(max_examples=200, deadline=None)
     @given(small_matrices)
     def test_rank_of_transpose(self, data):
         rows, ncols = data
-        m = RationalMatrix(rows, ncols=ncols)
-        transpose = RationalMatrix(
-            [[row[j] for row in rows] for j in range(ncols)], ncols=len(rows)
+        m = dense(rows, ncols)
+        transpose = dense(
+            [[row[j] for row in rows] for j in range(ncols)], len(rows)
         )
         assert m.rank() == transpose.rank()
 
@@ -124,7 +204,7 @@ class TestRank:
                 [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
                 for _ in range(nr)
             ]
-            m = RationalMatrix(rows, ncols=nc)
+            m = dense(rows, nc)
             assert m.rank() == gauss_rank(rows, nc)
 
 
@@ -233,17 +313,17 @@ class TestEchelonMatchesReference:
 
 class TestInverse:
     def test_identity(self):
-        eye = RationalMatrix.identity(4)
+        eye = identity_matrix(4)
         assert eye.inverse() == eye
 
     def test_scalar(self):
-        assert RationalMatrix([[2]]).inverse() == RationalMatrix([[Fraction(1, 2)]])
+        assert dense([[2]]).inverse() == dense([[Fraction(1, 2)]])
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
-            RationalMatrix([[1, 1], [1, 1]]).inverse()
+            dense([[1, 1], [1, 1]]).inverse()
         with pytest.raises(SingularMatrixError):
-            RationalMatrix([[1, 2]]).inverse()
+            dense([[1, 2]]).inverse()
 
     def test_left_and_right_inverse(self):
         rng = random.Random(23)
@@ -251,12 +331,12 @@ class TestInverse:
         while found < 40:
             n = rng.randint(1, 5)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            m = RationalMatrix(rows)
+            m = dense(rows)
             if m.rank() < n:
                 continue
             found += 1
-            assert m * m.inverse() == RationalMatrix.identity(n)
-            assert m.inverse() * m == RationalMatrix.identity(n)
+            assert m * m.inverse() == identity_matrix(n)
+            assert m.inverse() * m == identity_matrix(n)
 
     def test_rational_left_and_right_inverse(self):
         rng = random.Random(29)
@@ -269,19 +349,19 @@ class TestInverse:
             ]
             if all(v.denominator == 1 for row in rows for v in row):
                 continue
-            m = RationalMatrix(rows)
+            m = dense(rows)
             if gauss_rank(rows, n) < n:
                 continue
             found += 1
-            assert m * m.inverse() == RationalMatrix.identity(n)
-            assert m.inverse() * m == RationalMatrix.identity(n)
+            assert m * m.inverse() == identity_matrix(n)
+            assert m.inverse() * m == identity_matrix(n)
 
     def test_empty(self):
         assert RationalMatrix([], ncols=0).inverse() == RationalMatrix([], ncols=0)
 
     def test_singular_rational(self):
         # the second row is 3/2 times the first
-        m = RationalMatrix([
+        m = dense([
             [Fraction(1, 3), Fraction(2, 5), 1],
             [Fraction(1, 2), Fraction(3, 5), Fraction(3, 2)],
             [0, Fraction(1, 7), 2],
@@ -296,7 +376,7 @@ def assemble(row_sizes, col_sizes, blocks) -> RationalMatrix:
     for i, r in enumerate(row_sizes):
         for a in range(r):
             out.append([v for j in range(len(col_sizes)) for v in blocks[(i, j)][a]])
-    return RationalMatrix(out, ncols=sum(col_sizes))
+    return dense(out, sum(col_sizes))
 
 
 class TestBlocks:

@@ -16,7 +16,6 @@ from fistab.combinatorics import (
     partitions,
     sign,
 )
-from fistab.ratmat import RationalMatrix
 from fistab.specht import (
     character_column,
     mn_character,
@@ -29,6 +28,8 @@ from conftest import (
     beta_set_character,
     box_sign_block,
     cycle_type,
+    dense,
+    identity_matrix,
     symmetric_group,
 )
 
@@ -45,14 +46,14 @@ def character_of_action(lam, mu):
 
 class TestRawMatrices:
     def test_single_box_shapes(self):
-        assert specht_raw((1,), (1,)) == RationalMatrix([[1]])
+        assert specht_raw((1,), (1,)) == dense([[1]])
         # hand evaluation: boxes ((2,1),(1,1)) sort by one transposition
-        assert specht_raw((1, 1), (2, 1)) == RationalMatrix([[-1]])
+        assert specht_raw((1, 1), (2, 1)) == dense([[-1]])
 
     def test_pinned_five_by_five(self):
         # shape (2, 2, 1) at the identity, rows/columns in the canonical
         # tableau order (ascending reading word)
-        assert specht_raw((2, 2, 1), identity(5)) == RationalMatrix([
+        assert specht_raw((2, 2, 1), identity(5)) == dense([
             [1, 0, 0, 0, 1],
             [0, -1, 0, 0, 0],
             [0, 0, -1, 0, 0],
@@ -90,7 +91,7 @@ class TestSparseRows:
             for lam in partitions(k):
                 for sigma in symmetric_group(k):
                     expected = box_sign_block(lam, sigma)
-                    assert specht_raw(lam, sigma) == RationalMatrix(expected)
+                    assert specht_raw(lam, sigma) == dense(expected)
                     assert specht_rows(lam, sigma) == nonzero_pairs(expected)
 
     @pytest.mark.parametrize("k", (7, 8))
@@ -122,19 +123,19 @@ class TestActionMatrices:
         for k in range(6):
             for lam in partitions(k):
                 d = hook_length_count(lam)
-                assert specht_action(lam, identity(k)) == RationalMatrix.identity(d)
+                assert specht_action(lam, identity(k)) == identity_matrix(d)
 
     def test_sign_representation(self):
-        assert specht_action((1, 1), (2, 1)) == RationalMatrix([[-1]])
+        assert specht_action((1, 1), (2, 1)) == dense([[-1]])
         for sigma in symmetric_group(4):
-            assert specht_action((1, 1, 1, 1), sigma) == RationalMatrix(
+            assert specht_action((1, 1, 1, 1), sigma) == dense(
                 [[sign(sigma)]]
             )
 
     def test_trivial_representation(self):
         for k in range(1, 5):
             for sigma in symmetric_group(k):
-                assert specht_action((k,), sigma) == RationalMatrix([[1]])
+                assert specht_action((k,), sigma) == dense([[1]])
 
     def test_composition_law_exhaustive(self):
         # contravariant composition, all pairs for shapes of size <= 4
