@@ -20,7 +20,7 @@ for t in standard_tableaux(shape):
 print()
 
 # The raw pairing matrix of the identity is not the identity, but it is
-# always invertible over the integers:
+# upper triangular with diagonal +-1, so invertible over the integers:
 print("raw pairing matrix of the identity:")
 print(specht_raw(shape, (1, 2, 3, 4, 5)))
 print()

@@ -199,6 +199,8 @@ def _parse_shape(text: str):
 
 
 def _parse_perm(text: str):
+    if not text.strip():
+        return ()
     try:
         images = tuple(int(v) for v in text.split(","))
     except ValueError:

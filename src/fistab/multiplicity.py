@@ -25,8 +25,8 @@ class MultiplicityTable:
     """Eventual multiplicity of every partition up to the generator bound.
 
     ``counts`` holds one entry (zeros included) for each partition of
-    size at most ``max_generator_degree``; partitions beyond that bound
-    have multiplicity 0 implicitly.
+    size at most ``max_generator_degree``, in table order; partitions
+    beyond that bound have multiplicity 0 implicitly.
     """
 
     counts: dict[Partition, int]
@@ -40,14 +40,10 @@ class MultiplicityTable:
 
     def shapes(self) -> list[Partition]:
         """Partitions in table order: by size, then descending lex."""
-        return [
-            lam
-            for size in range(self.max_generator_degree + 1)
-            for lam in partitions(size)
-        ]
+        return list(self.counts)
 
     def __iter__(self):
-        return ((lam, self.counts[lam]) for lam in self.shapes())
+        return iter(self.counts.items())
 
 
 def check_transport_size(z: PresentationMatrix, lam: Partition) -> None:

@@ -314,10 +314,10 @@ def induced_action(lam: Partition, f, target: int) -> RationalMatrix:
     """Action of f on the module induced from the irreducible of shape lam.
 
     induced_block_action of specht_action, which is the raw transport of
-    f corrected by the inverse of the raw transport of the identity: that
-    matrix is block diagonal in specht_raw(lam, identity).  Identity
-    injections act as identity matrices and actions compose
-    contravariantly.
+    f corrected by the raw transport of the identity: that matrix is block
+    diagonal in specht_raw(lam, identity), and specht_action solves
+    against each block by integer back-substitution.  Identity injections
+    act as identity matrices and actions compose contravariantly.
     """
     lam = check_partition(lam)
     if sum(lam) > len(f):

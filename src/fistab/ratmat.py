@@ -6,10 +6,10 @@ tuple of its nonzero (column, value) pairs in increasing column order:
 the format the Specht blocks and the transported matrices are built in,
 so no zero cell is ever allocated.
 
-Every rank and every inverse in the package comes from :class:`Echelon`,
-an incremental exact integer row echelon over sparse rows (dicts from
-column to nonzero value) with the content of each row divided out.  The
-basis is kept fully reduced as rows arrive: each row is zero at every
+Every rank in the package comes from :class:`Echelon`, an incremental
+exact integer row echelon over sparse rows (dicts from column to nonzero
+value) with the content of each row divided out.  The basis is kept
+fully reduced as rows arrive: each row is zero at every
 other row's pivot, its pivot is its first column and its pivot value is
 positive.  That makes the basis canonical, the primitive integer form of
 the reduced row echelon form of the rows' span, whatever order the rows
@@ -21,14 +21,13 @@ order the rows are fed in, but the cost does: a pivot left of every kept
 pivot has nothing to clear.  ``RationalMatrix.rank`` and the oracle get
 rows whose leading columns mostly rise, so they feed them last first.
 The oracle relies on the invariant to read the coordinate of an image
-vector on a basis row straight off that row's pivot.
+vector on a basis row straight off that row's pivot; its traces are
+what the reduced basis is kept for.
 
 The transported matrices of the closed form are a few percent nonzero,
 and so are the relation matrices of the brute-force oracle, which feeds
 the same engine directly.  ``RationalMatrix.rank`` clears each row's
-denominators and feeds the row's nonzero entries to it;
-``RationalMatrix.inverse`` feeds it the rows of [A | I] the same way and
-reads the inverse off the reduced basis.
+denominators and feeds the row's nonzero entries to it.
 
 Matrices with zero rows or zero columns are first-class: a matrix with no
 columns has rank 0 (so its corank equals its row count), and a matrix with
@@ -52,7 +51,10 @@ def _norm(v):
 
 def _sparse_row(row) -> tuple:
     """The nonzero entries of a row, as sorted (column, value) pairs."""
-    return tuple(sorted((j, _norm(v)) for j, v in dict(row).items() if v))
+    items = row.items() if isinstance(row, dict) else dict(row).items()
+    return tuple(sorted(
+        (j, v if type(v) is int else _norm(v)) for j, v in items if v
+    ))
 
 
 class Echelon:
@@ -63,11 +65,13 @@ class Echelon:
     zero at every other pivot column.  ``pivots`` lists the pivot columns
     in the order of ``rows``.
 
-    The basis, as a map from pivot column to row, is the same for any
-    order the rows are fed in; only the order of ``rows`` follows the
-    feed.  The cost does depend on the order.  Rows whose leading
-    columns fall are the cheap order: each new pivot then lies left of
-    the kept pivots, where the kept rows are almost always zero.
+    The basis is kept reduced for the oracle's traces, which read the
+    coordinate of a vector on a basis row straight off its pivot.  The
+    basis, as a map from pivot column to row, is the same for any order
+    the rows are fed in; only the order of ``rows`` follows the feed.
+    The cost does depend on the order.  Rows whose leading columns fall
+    are the cheap order: each new pivot then lies left of the kept
+    pivots, where the kept rows are almost always zero.
     """
 
     def __init__(self):
@@ -140,10 +144,6 @@ class Echelon:
         return len(self.rows)
 
 
-class SingularMatrixError(ValueError):
-    """Raised when inverting a matrix without full rank."""
-
-
 class RationalMatrix:
     """An immutable nrows x ncols matrix over the rationals.
 
@@ -169,6 +169,8 @@ class RationalMatrix:
 
     def __getitem__(self, key):
         i, j = key
+        if not 0 <= i < self.nrows:
+            raise IndexError(f"row {i} outside range({self.nrows})")
         if not 0 <= j < self.ncols:
             raise IndexError(f"column {j} outside range({self.ncols})")
         return dict(self.rows[i]).get(j, 0)
@@ -223,18 +225,7 @@ class RationalMatrix:
             out.append(acc)
         return RationalMatrix(out, other.ncols)
 
-    # -- rank and inverse ---------------------------------------------------
-
-    def _integer_rows(self):
-        """Each row's nonzero entries as a sparse dict, times the lcm of
-        their denominators, paired with that lcm."""
-        for row in self.rows:
-            entries = dict(row)
-            scale = 1
-            if Fraction in set(map(type, entries.values())):
-                scale = lcm(*(v.denominator for v in entries.values()))
-                entries = {j: int(v * scale) for j, v in entries.items()}
-            yield entries, scale
+    # -- rank ---------------------------------------------------------------
 
     def rank(self) -> int:
         """Exact rank over the rationals, by sparse integer row echelon.
@@ -244,7 +235,11 @@ class RationalMatrix:
         first.
         """
         echelon = Echelon()
-        for entries, _ in reversed(list(self._integer_rows())):
+        for row in reversed(self.rows):
+            entries = dict(row)
+            if Fraction in set(map(type, entries.values())):
+                scale = lcm(*(v.denominator for v in entries.values()))
+                entries = {j: int(v * scale) for j, v in entries.items()}
             echelon.add_row(entries)
         return echelon.rank
 
@@ -252,40 +247,8 @@ class RationalMatrix:
         """Row count minus rank."""
         return self.nrows - self.rank()
 
-    def inverse(self) -> "RationalMatrix":
-        """Exact inverse of a square full-rank matrix.
-
-        Reduces [A | I] with an :class:`Echelon`.  Row i is scaled by the
-        lcm d of its denominators on both sides, so it enters as
-        [d A_i | d e_i]; row scaling leaves the inverse unchanged.  Every
-        row is independent thanks to its identity entry, and A is
-        singular exactly when some pivot falls in the right half.  In the
-        reduced basis, the row pivoting on column c is a multiple of
-        [e_c | (A^-1)_c].
-
-        Raises SingularMatrixError when A is not square or not invertible.
-        """
-        if self.nrows != self.ncols:
-            raise SingularMatrixError(
-                f"cannot invert {self.nrows}x{self.ncols} matrix"
-            )
-        n = self.nrows
-        echelon = Echelon()
-        for i, (entries, scale) in enumerate(self._integer_rows()):
-            entries[n + i] = scale
-            echelon.add_row(entries)
-        if any(col >= n for col in echelon.pivots):
-            raise SingularMatrixError("matrix is singular")
-        out = [None] * n
-        for col, idx in echelon.pivots.items():
-            row = echelon.rows[idx]
-            lead = row[col]
-            out[col] = {j - n: Fraction(v, lead) for j, v in row.items() if j >= n}
-        return RationalMatrix(out, n)
-
 
 __all__ = [
     "Echelon",
     "RationalMatrix",
-    "SingularMatrixError",
 ]

@@ -28,8 +28,12 @@ the entry is sign(sigma) times its sign.  So only the nonzero entries are
 ever visited: a trie of the row words of every u is walked once per t,
 pruned at the first box that repeats or leaves the diagram.  The tests keep the box-sorting definition as the reference.
 
-The matrix model composes contravariantly: acting by sigma and then tau
-multiplies to the matrix of tau o sigma.
+The action of sigma is its pairing matrix corrected by the pairing
+matrix of the identity.  In the canonical tableau order that matrix is
+upper triangular with diagonal +-1, so ``specht_action`` solves for the
+correction by integer back-substitution and inverts nothing.  The matrix
+model composes contravariantly: acting by sigma and then tau multiplies
+to the matrix of tau o sigma.
 """
 
 from functools import cache
@@ -38,6 +42,7 @@ from .combinatorics import (
     Partition,
     check_partition,
     col_word,
+    identity,
     inverse,
     partitions,
     row_word,
@@ -146,21 +151,42 @@ def specht_raw(lam: Partition, sigma) -> RationalMatrix:
 
 
 @cache
-def _specht_unit_inverse(lam: Partition) -> RationalMatrix:
-    k = sum(lam)
-    return specht_raw(lam, tuple(range(1, k + 1))).inverse()
+def _unit_rows(lam: Partition) -> list[list[tuple[int, int]]]:
+    """specht_rows of the identity, once per shape."""
+    return specht_rows(lam, identity(sum(lam)))
 
 
 @cache
 def specht_action(lam: Partition, sigma) -> RationalMatrix:
     """The irreducible action matrix of sigma for shape lam.
 
-    The raw pairing matrix of the identity is inverted once per shape and
-    multiplied in, so the identity permutation maps to the identity
-    matrix and specht_action(lam, sigma) * specht_action(lam, tau) equals
-    specht_action(lam, tau o sigma).
+    The solution X of U X = specht_raw(lam, sigma), U the raw pairing
+    matrix of the identity, so the identity permutation maps to the
+    identity matrix and specht_action(lam, sigma) * specht_action(lam, tau)
+    equals specht_action(lam, tau o sigma).
+
+    U is upper triangular with diagonal +-1, so X is integral.  U_tu is
+    nonzero exactly when the tabloid {u} occurs in the polytabloid e_t,
+    and then {u} is dominated by {t} (Sagan, The Symmetric Group, 2.5):
+    rows 1..i of t hold at least as many of 1..m as rows 1..i of u, for
+    every i and m.  So in the first row where u and t differ, the first
+    entry that differs is smaller in t, and u follows t in the canonical
+    order, which reads each tableau row by row.  U_tt is the sign of the
+    box permutation of t against itself.  X is solved from the last row
+    up in integers: row t is U_tt times (row t of the right side, less
+    U_tu times row u of X for every u > t).
     """
-    return _specht_unit_inverse(lam) * specht_raw(lam, sigma)
+    rows = specht_rows(lam, sigma)
+    unit = _unit_rows(lam)
+    solved = [None] * len(rows)
+    for t in reversed(range(len(rows))):
+        (_, diagonal), *above = unit[t]
+        acc = dict(rows[t])
+        for u, a in above:
+            for j, x in solved[u].items():
+                acc[j] = acc.get(j, 0) - a * x
+        solved[t] = {j: diagonal * x for j, x in acc.items() if x}
+    return RationalMatrix(solved, len(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fistab.combinatorics import (
     all_injections,
     col_word,
     compose,
+    identity,
     monotone_injections,
     monotone_part,
     row_word,
@@ -19,6 +20,7 @@ from fistab.combinatorics import (
     standard_tableaux,
 )
 from fistab.ratmat import RationalMatrix
+from fistab.specht import specht_raw
 
 
 def dense(rows, ncols=None) -> RationalMatrix:
@@ -46,6 +48,44 @@ def zeros(nrows: int, ncols: int) -> RationalMatrix:
 
 def identity_matrix(n: int) -> RationalMatrix:
     return RationalMatrix([[(i, 1)] for i in range(n)], n)
+
+
+def rational_inverse(m: RationalMatrix) -> RationalMatrix:
+    """The inverse of a square matrix, by Fraction Gauss-Jordan on [m | I].
+
+    Raises ValueError when m is not square or is singular.  The reference
+    for the integer back-substitution of fistab.specht.specht_action.
+    """
+    n = m.nrows
+    if m.ncols != n:
+        raise ValueError(f"cannot invert a {n}x{m.ncols} matrix")
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(dense_rows(m))
+    ]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return dense([row[n:] for row in rows], n)
+
+
+@cache
+def _unit_inverse(lam) -> RationalMatrix:
+    return rational_inverse(specht_raw(lam, identity(sum(lam))))
+
+
+def reference_action(lam, sigma) -> RationalMatrix:
+    """specht_raw(lam, sigma) corrected by the inverse of the raw matrix
+    of the identity, the inverse taken by rational_inverse."""
+    return _unit_inverse(lam) * specht_raw(lam, sigma)
 
 
 def symmetric_group(k: int):

@@ -202,6 +202,13 @@ class TestCommands:
             "[ 0  1  0  -1   0 ]\n"
         )
 
+    def test_specht_empty_permutation(self, capsys):
+        for shape in ("0", ""):
+            assert main(["specht", "--shape", shape, "--perm", ""]) == 0
+            assert capsys.readouterr().out == "[ 1 ]\n"
+        assert main(["specht", "--shape", "1", "--perm", ""]) == 2
+        assert "size" in capsys.readouterr().err
+
     def test_specht_size_mismatch(self, capsys):
         assert main(["specht", "--shape", "2", "--perm", "1,3,2"]) == 2
         assert "size" in capsys.readouterr().err

@@ -30,6 +30,8 @@ from conftest import (
     cycle_type,
     dense,
     identity_matrix,
+    rational_inverse,
+    reference_action,
     symmetric_group,
 )
 
@@ -42,6 +44,10 @@ def character_of_action(lam, mu):
     """
     action = specht_action(lam, class_representative(mu))
     return sum(action[i, i] for i in range(action.nrows))
+
+
+def assert_integral(matrix):
+    assert all(type(v) is int for row in matrix.rows for _, v in row)
 
 
 class TestRawMatrices:
@@ -65,11 +71,20 @@ class TestRawMatrices:
         with pytest.raises(ValueError):
             specht_raw((2, 1), (1, 2))
 
+    def test_unit_matrix_is_upper_triangular_with_sign_diagonal(self):
+        # the theorem specht_action's back-substitution rests on: in the
+        # canonical order, row t of the identity's pairing matrix starts
+        # at column t, with value +-1
+        for k in range(10):
+            for lam in partitions(k):
+                for t, row in enumerate(specht_rows(lam, identity(k))):
+                    assert row[0][0] == t and row[0][1] in (1, -1)
+
     def test_unit_matrix_has_integer_inverse(self):
         # invertibility over the integers, shape by shape
         for k in range(7):
             for lam in partitions(k):
-                inv = specht_raw(lam, identity(k)).inverse()
+                inv = rational_inverse(specht_raw(lam, identity(k)))
                 assert all(
                     isinstance(inv[i, j], int)
                     for i in range(inv.nrows)
@@ -136,6 +151,22 @@ class TestActionMatrices:
         for k in range(1, 5):
             for sigma in symmetric_group(k):
                 assert specht_action((k,), sigma) == dense([[1]])
+
+    def test_matches_unit_corrected_reference(self):
+        for k in range(6):
+            for lam in partitions(k):
+                for sigma in symmetric_group(k):
+                    assert_integral(specht_action(lam, sigma))
+                    assert specht_action(lam, sigma) == reference_action(lam, sigma)
+
+    @pytest.mark.parametrize("k", (6, 7, 8))
+    def test_matches_unit_corrected_reference_seeded(self, k):
+        rng = random.Random(200 + k)
+        for lam in partitions(k):
+            for _ in range(3):
+                sigma = tuple(rng.sample(range(1, k + 1), k))
+                assert_integral(specht_action(lam, sigma))
+                assert specht_action(lam, sigma) == reference_action(lam, sigma)
 
     def test_composition_law_exhaustive(self):
         # contravariant composition, all pairs for shapes of size <= 4
