@@ -57,7 +57,8 @@ for n in range(3, 11):
 print()
 
 # The brute-force side knows nothing about coranks: it evaluates the
-# module as an explicit cokernel and splits it by characters.
+# module as an explicit cokernel and splits it by Young's rule, from
+# its traces and Kostka numbers.
 print("brute-force decomposition at degree 6:")
 for shape, count in decompose_at(E, 6).items():
     if count:

@@ -3,7 +3,8 @@ presented FI-modules, computed two independent ways.
 
 The closed form reads each multiplicity off as the corank of an exact
 rational block matrix built from a presentation; the brute-force oracle
-evaluates the module degree by degree and decomposes it by characters.
+evaluates the module degree by degree and decomposes it by Young's rule
+and Kostka numbers.
 ``verify`` confronts the two.
 
 The names exported here are the ones the demos and the README quick start

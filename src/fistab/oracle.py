@@ -1,12 +1,13 @@
-"""Degree-wise brute force: evaluate the presented module, take characters,
+"""Degree-wise brute force: evaluate the presented module, take traces,
 decompose into irreducibles.
 
 Nothing here touches the corank formula.  A degree n is evaluated by
 writing out the relation matrix on the full injection bases and
 computing an exact integer row echelon of its transpose (rank and an
 image basis); symmetric-group traces are read off that basis, and
-multiplicities come from character inner products.  Agreement with the
-closed form is checked by :func:`verify`.
+multiplicities come from Young's rule and Kostka numbers, with no
+irreducible character.  Agreement with the closed form is checked by
+:func:`verify`.
 
 The echelon is :class:`fistab.ratmat.Echelon`, the engine behind every
 rank in the package.  Each relation column is scaled once by the lcm of
@@ -31,26 +32,32 @@ plain ints and makes one Fraction per pivot value.  The dense relation
 matrix is built only in the tests, as the reference the ranks are
 checked against.
 
-Decomposition takes one trace per class and adds in that class's whole
-character column (:func:`fistab.specht.character_column`), weighted by
-the class size times the trace, so every multiplicity comes out of one
-pass over the classes.
+Decomposition takes one trace per class and weights it by the class
+size, summed over the classes with the same numbers of cycles of each
+length up to g, the largest generator degree.  A permutation fixes a
+tabloid of shape mu exactly when each row is a union of its cycles;
+that count against the weights gives d_mu = dim M[n]^{S_mu}, which by
+Young's rule is the sum of K_{lam mu} m_lam over lam dominating mu.  By
+Pieri only the top shapes, top row at least n - g, can occur.  They are
+closed upward in dominance, so the unitriangular Kostka system over them
+is solved in descending lexicographic order, and their multiplicities
+times their dimensions must add up to dim M[n].
 
 Because work grows quickly with the degree, evaluation refuses degrees
 beyond a budget: ambient rows above the cap (default 5000) or relation
 columns above ten times it.  Decomposition also refuses a degree whose
 class count p(n), squared, exceeds a hundred times the cap, before any
-trace is taken: p(n)^2 is the number of character values it reads.  At
-the default cap that admits n <= 20 and refuses n = 21.  Override with
-FISTAB_ORACLE_CAP (:mod:`fistab.budget`).  The budget is checked on
-every call, before the cache of evaluated degrees is consulted.
+trace is taken; it takes one trace per class.  At the default cap that
+admits n <= 20 and refuses n = 21.  Override with FISTAB_ORACLE_CAP
+(:mod:`fistab.budget`).  The budget is checked on every call, before the
+cache of evaluated degrees is consulted.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm
+from functools import cache, cached_property, lru_cache
+from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 
 from .budget import ROW_CAP_ENV, ResourceCapError, figure, row_cap
@@ -61,13 +68,13 @@ from .combinatorics import (
     class_representative,
     class_size,
     falling_factorial,
+    hook_length_count,
     inverse,
     partitions,
 )
 from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_bound
 from .presentation import PresentationMatrix
 from .ratmat import Echelon
-from .specht import character_column
 
 @dataclass
 class DegreeEvaluation:
@@ -157,33 +164,128 @@ class DegreeEvaluation:
     def decompose(self) -> dict[Partition, int]:
         """Multiplicity of every irreducible at this degree.
 
-        Standard character inner products against the cokernel character.
-        Each class is weighted once by its size times its trace, and its
-        whole character column, every irreducible at once, is added in
-        with that weight; classes with trace 0 add nothing and are
-        skipped.  A degree with too many classes is refused before any
-        trace is taken.  A non-integer or negative multiplicity indicates
-        an internal inconsistency and raises.
+        M[n] is a quotient of the sum of the M(x)[n], x the generator
+        degrees, and by Pieri every constituent of M(x)[n] has a top row
+        of at least n - x.  So only the top shapes, those with
+        lam_1 >= n - g for the largest generator degree g, can occur.
+        For each top shape mu, d_mu = <chi, 1 induced from S_mu> is the
+        class-weighted sum of traces times the tabloids of shape mu that
+        the class fixes, over n!; by Young's rule it equals the sum of
+        K_{lam mu} m_lam over lam dominating mu, all of them top shapes.
+        Solving in descending lexicographic order gives each m_mu.  Every
+        other shape gets 0, and that is checked, not assumed: the top
+        shapes' multiplicities times their dimensions must add up to the
+        cokernel dimension, and as no multiplicity is negative, a match
+        leaves nothing for any other shape.  A degree with too many
+        classes is refused before any trace is taken.  A non-integer
+        d_mu, a negative multiplicity or a dimension mismatch indicates
+        an internal inconsistency and raises ArithmeticError.
         """
         n = self.n
         _check_class_budget(n)
-        classes = partitions(n)
-        acc = [0] * len(classes)
-        for mu in classes:
-            trace = self.cokernel_trace(mu)
+        g = min(self._z.max_generator_degree, n)
+        # only the cycles of length <= g fit in the rows below the top
+        weights: dict[tuple[int, ...], int] = {}
+        for nu in partitions(n):
+            trace = self.cokernel_trace(nu)
             if trace:
-                weight = class_size(mu) * trace
-                acc = [a + weight * c for a, c in zip(acc, character_column(mu))]
+                counts = tuple(nu.count(j) for j in range(1, g + 1))
+                weights[counts] = weights.get(counts, 0) + class_size(nu) * trace
         order = factorial(n)
-        result = {}
-        for lam, total in zip(classes, acc):
-            count, remainder = divmod(total, order)
-            if remainder != 0 or count < 0:
+        found: dict[Partition, int] = {}
+        dimension = 0
+        for mu in _top_shapes(n, g):
+            total = sum(
+                weight * _fixed_tabloids(mu[1:], counts)
+                for counts, weight in weights.items()
+            )
+            invariants, remainder = divmod(total, order)
+            if remainder != 0:
                 raise ArithmeticError(
-                    f"multiplicity of {lam} came out as {Fraction(total, order)}"
+                    f"invariants of the Young subgroup of {mu} came out as "
+                    f"{Fraction(total, order)}"
                 )
-            result[lam] = count
-        return result
+            count = invariants - sum(
+                _kostka(lam, mu) * m for lam, m in found.items()
+            )
+            if count < 0:
+                raise ArithmeticError(f"multiplicity of {mu} came out as {count}")
+            found[mu] = count
+            dimension += count * hook_length_count(mu)
+        if dimension != self.cokernel_dim:
+            raise ArithmeticError(
+                f"shapes with top row >= {n - g} give dimension {dimension}, "
+                f"not {self.cokernel_dim}"
+            )
+        return {lam: found.get(lam, 0) for lam in partitions(n)}
+
+
+def _top_shapes(n: int, g: int) -> list[Partition]:
+    """The partitions of n with top row at least n - g, in descending
+    lexicographic order."""
+    return [lam for lam in partitions(n) if sum(lam[1:]) <= g]
+
+
+@cache
+def _fixed_tabloids(rows: Partition, counts: tuple[int, ...]) -> int:
+    """The tabloids a permutation fixes, counted from its cycles.
+
+    The permutation has counts[j - 1] cycles of length j for each j up
+    to len(counts), which must reach sum(rows); the tabloids have rows
+    of lengths rows below their top row.  A tabloid is fixed exactly
+    when each row is a union of cycles, so this counts the ways to give
+    the rows below the top cycles with exact sums rows[0], rows[1], ...;
+    the top row takes every cycle left.
+    """
+    if not rows:
+        return 1
+    return _fill_row(rows, counts, rows[0], len(counts))
+
+
+def _fill_row(rows: Partition, counts: tuple[int, ...], need: int, j: int) -> int:
+    """_fixed_tabloids with rows[0] still short of need, to be made up
+    from cycles of length at most j."""
+    if need == 0:
+        return _fixed_tabloids(rows[1:], counts)
+    total = 0
+    for length in range(min(j, need), 0, -1):
+        m = counts[length - 1]
+        for k in range(1, min(m, need // length) + 1):
+            taken = counts[:length - 1] + (m - k,) + counts[length:]
+            total += comb(m, k) * _fill_row(rows, taken, need - k * length, length - 1)
+    return total
+
+
+@cache
+def _kostka(lam: Partition, mu: Partition) -> int:
+    """The Kostka number K_{lam mu}: semistandard tableaux of shape lam
+    and content mu.
+
+    The entries equal to len(mu) form a horizontal strip of size mu[-1],
+    and removing it leaves a tableau of content mu[:-1].  With one part
+    left, K_{lam,(m)} = [lam = (m)].
+    """
+    if len(mu) <= 1:
+        return int(lam == mu)
+    return sum(_kostka(rho, mu[:-1]) for rho in _strip_removals(lam, mu[-1]))
+
+
+def _strip_removals(lam: Partition, size: int, i: int = 0):
+    """Yield every rho with lam / rho a horizontal strip of the given
+    size, reading rows from i on.
+
+    rho interlaces lam, lam_1 >= rho_1 >= lam_2 >= rho_2 >= ..., and each
+    rho_i is at least lam_i less what is left of the strip, so the
+    enumeration is bounded by the strip's size, not by |lam|.
+    """
+    if i == len(lam):
+        if size == 0:
+            yield ()
+        return
+    below = lam[i + 1] if i + 1 < len(lam) else 0
+    for part in range(max(below, lam[i] - size), lam[i] + 1):
+        for rest in _strip_removals(lam, size - (lam[i] - part), i + 1):
+            yield (part, *rest) if part else rest
 
 
 def _excess(n: int, degrees, bound: int) -> str | None:
@@ -221,10 +323,11 @@ def _check_budget(z: PresentationMatrix, n: int) -> None:
 def _check_class_budget(n: int) -> None:
     """Refuse to decompose a degree with more than sqrt(100 * cap) classes.
 
-    Decomposing takes one character value per (shape, class) pair, p(n)^2
-    of them.  The counts p(m) grow with m and are taken from m = 0 up,
-    stopping at the first one over the budget, so a huge degree is refused
-    without enumerating its partitions.
+    Decomposing takes one trace per class, each one pass over the reduced
+    image basis; the budget bounds p(n)^2.  The counts p(m) grow with m
+    and are taken from m = 0 up, stopping at the first one over the
+    budget, so a huge degree is refused without enumerating its
+    partitions.
     """
     budget = 100 * row_cap()
     for m in range(n + 1):
@@ -233,8 +336,9 @@ def _check_class_budget(n: int) -> None:
             at_least = "" if m == n else "at least "
             raise ResourceCapError(
                 f"degree {n} has {at_least}{classes} classes, and decomposing "
-                f"it needs {at_least}{classes}^2 = {classes * classes} character "
-                f"values, budget is {budget} (raise {ROW_CAP_ENV} to override)"
+                f"it takes one trace per class; {classes}^2 = "
+                f"{classes * classes} is over the class budget of {budget} "
+                f"(raise {ROW_CAP_ENV} to override)"
             )
 
 

@@ -27,6 +27,7 @@ that representation's matrix rows, which are stored as the same pairs.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import (
     Partition,
@@ -197,6 +198,25 @@ class PresentationMatrix:
 # the transported matrices
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=4096)
+def _placements(f, target: int, k: int) -> tuple:
+    """Where the injection f: [len(f)] -> [target] sends each monotone
+    injection p of [k] into its source.
+
+    One (sorting_permutation(f o p), a) pair per p, in the order of
+    monotone_injections(k, len(f)), a being the position of
+    monotone_part(f o p) in monotone_injections(k, target).  They depend
+    on f, its target and k, not on the shape, so they are made once and
+    every shape of size k reuses them.
+    """
+    column = {q: a for a, q in enumerate(monotone_injections(k, target))}
+    placements = []
+    for p in monotone_injections(k, len(f)):
+        fp = compose(f, p)
+        placements.append((sorting_permutation(fp), column[monotone_part(fp)]))
+    return tuple(placements)
+
+
 def _transport(block, k: int, dim: int, row_degrees, col_degrees,
                entries) -> RationalMatrix:
     """The transported matrix of a grid of formal sums.
@@ -207,9 +227,9 @@ def _transport(block, k: int, dim: int, row_degrees, col_degrees,
     degree ``col_degrees[j]``, and ``entries`` maps (i, j) to a dict from
     injections to coefficients.  The term f with coefficient c adds c
     times block(sorting_permutation(f o p)) at block row (i, p) and block
-    column (j, monotone_part(f o p)).  Each distinct block is built once,
-    and only its nonzero entries are added into the output rows, each a
-    dict from column to value.
+    column (j, monotone_part(f o p)), read off ``_placements``.  Each
+    distinct block is built once, and only its nonzero entries are added
+    into the output rows, each a dict from column to value.
     """
     row_offsets = []
     nrows = 0
@@ -225,21 +245,14 @@ def _transport(block, k: int, dim: int, row_degrees, col_degrees,
     out = [{} for _ in range(nrows)]
     block_rows = {}
     for (i, j), terms in entries.items():
-        sources = monotone_injections(k, row_degrees[i])
-        block_col = {
-            q: col_offsets[j] + a * dim
-            for a, q in enumerate(monotone_injections(k, col_degrees[j]))
-        }
         for f, coeff in terms.items():
             if coeff.denominator == 1:
                 coeff = coeff.numerator
-            for pi, p in enumerate(sources):
-                fp = compose(f, p)
-                sigma = sorting_permutation(fp)
+            for pi, (sigma, a) in enumerate(_placements(f, col_degrees[j], k)):
                 pairs = block_rows.get(sigma)
                 if pairs is None:
                     pairs = block_rows[sigma] = block(sigma)
-                base = block_col[monotone_part(fp)]
+                base = col_offsets[j] + a * dim
                 r0 = row_offsets[i] + pi * dim
                 for t, row_pairs in enumerate(pairs):
                     row = out[r0 + t]

@@ -10,8 +10,8 @@ not an assumption:
 - rim hooks: ``character_column`` computes chi(mu) for every shape of
   |mu| at once by Murnaghan-Nakayama, pushing the column of mu[1:]
   through a cached table of the rim hooks of length mu_1 of every shape.
-  The oracle decomposes this way, and ``mn_character`` reads one value
-  chi_lam(mu) off the column of mu.
+  ``mn_character`` reads one value chi_lam(mu) off the column of mu.
+  The oracle reads no character: it decomposes by Young's rule.
 
 The tests hold a third, independent rim-hook recursion on beta sets as
 the reference for both.

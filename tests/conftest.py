@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -161,6 +161,56 @@ def beta_set_character(lam, mu):
         )
         total += (-1) ** crossed * beta_set_character(smaller, mu[1:])
     return total
+
+
+def semistandard_count(lam, mu) -> int:
+    """Semistandard tableaux of shape lam and content mu, counted box by
+    box in row-major order: each box takes a value that is still left, at
+    least the one to its left and above the one over it.
+
+    The reference for the oracle's Kostka numbers: it removes no strips.
+    """
+    if sum(lam) != sum(mu):
+        return 0
+    boxes = [(i, j) for i, part in enumerate(lam) for j in range(part)]
+    filling = {}
+    left = list(mu)
+
+    def fill(b):
+        if b == len(boxes):
+            return 1
+        i, j = boxes[b]
+        low = max(filling.get((i, j - 1), 0), filling.get((i - 1, j), -1) + 1)
+        total = 0
+        for value in range(low, len(mu)):
+            if left[value]:
+                left[value] -= 1
+                filling[(i, j)] = value
+                total += fill(b + 1)
+                left[value] += 1
+        filling.pop((i, j), None)
+        return total
+
+    return fill(0)
+
+
+def fixed_tabloid_count(mu, sigma) -> int:
+    """Tabloids of shape mu that the permutation sigma fixes, counted by
+    choosing the point set of each row in turn from the points left and
+    keeping only sets that sigma maps onto themselves.
+
+    The reference for the oracle's count from cycle numbers.
+    """
+    def count(rows, points):
+        if not rows:
+            return 1
+        return sum(
+            count(rows[1:], points - set(chosen))
+            for chosen in combinations(sorted(points), rows[0])
+            if {sigma[v - 1] for v in chosen} == set(chosen)
+        )
+
+    return count(tuple(mu), set(range(1, len(sigma) + 1)))
 
 
 def induced_raw_sum(lam, s: FormalSum) -> RationalMatrix:

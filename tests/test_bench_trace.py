@@ -4,10 +4,10 @@ The traced benchmark wraps public names of fistab from outside (see
 bench/spans.py) and reads the caches of ``evaluate_degree``,
 ``mn_character`` and ``standard_tableaux``.  A refactor that renames one
 of them, or routes a call around it, would fail the traced run or zero
-a layer; this runs one traced ``verify``, and the two commands of the
-``table`` workload, the way the benchmark does.  The nonzeros the
-benchmark counts on the transported matrices are checked against the
-reference transport.
+a layer; this runs one traced ``verify``, one traced ``decompose`` of
+the triangle, and the two commands of the ``table`` workload, the way
+the benchmark does.  The nonzeros the benchmark counts on the
+transported matrices are checked against the reference transport.
 """
 
 import json
@@ -54,6 +54,21 @@ def trace(tmp_path_factory):
     return trace
 
 
+TRIANGLE_N = 8
+
+
+@pytest.fixture(scope="module")
+def decompose_trace(tmp_path_factory):
+    """One traced decompose of the triangle of the oracle workloads."""
+    folder = tmp_path_factory.mktemp("decompose")
+    path = folder / "triangle.fipres"
+    text = workloads.inputs(workloads.DEFAULT_SEED)["triangle"]
+    path.write_text(text, encoding="utf-8")
+    return run_traced(
+        folder / "spans.json", "decompose", path, "--n", str(TRIANGLE_N)
+    )[1]
+
+
 @pytest.fixture(scope="module")
 def table_traces(tmp_path_factory):
     """One traced multiplicities and one traced dimension on E: the
@@ -70,6 +85,18 @@ def test_every_required_rational_span_is_recorded(trace):
     recorded = {span[0] for span in trace["spans"]}
     missing = set(workloads.REQUIRED_SPANS["rational"]) - recorded
     assert not missing
+
+
+@pytest.mark.parametrize("workload", ["oracle", "high_degree"])
+def test_every_required_decompose_span_is_recorded(decompose_trace, workload):
+    recorded = {span[0] for span in decompose_trace["spans"]}
+    missing = set(workloads.REQUIRED_SPANS[workload]) - recorded
+    assert not missing
+
+
+def test_decompose_takes_one_trace_per_class(decompose_trace):
+    names = [span[0] for span in decompose_trace["spans"]]
+    assert names.count("oracle.trace") == len(partitions(TRIANGLE_N))
 
 
 def test_every_cache_reader_returns_an_int(trace):

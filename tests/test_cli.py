@@ -287,7 +287,8 @@ class TestCommands:
 
     def test_class_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # M(0) has one ambient row at every degree, so only the class
-        # budget stands between decompose and p(n)^2 character values
+        # budget, on p(n)^2, stands between decompose and one trace per
+        # class
         path = tmp_path / "m0.fipres"
         path.write_text("generators: 0\nrelations:\n", encoding="utf-8")
         monkeypatch.delenv("FISTAB_ORACLE_CAP", raising=False)

@@ -28,11 +28,15 @@ from fistab.oracle import (
     dimension_at,
     evaluate_degree,
     verify,
+    _fixed_tabloids,
+    _kostka,
     _precomposer,
 )
 from fistab.multiplicity import onset_bound
 from fistab.presentation import FormalSum, PresentationMatrix
 from fistab.ratmat import Echelon, RationalMatrix
+import fistab.oracle as oracle
+import fistab.specht as specht
 
 from conftest import (
     E_FILE,
@@ -41,9 +45,11 @@ from conftest import (
     cycle_type,
     dense,
     dense_rows,
+    fixed_tabloid_count,
     free_module,
     random_low_relation_presentation,
     random_presentation,
+    semistandard_count,
     symmetric_group,
     torsion_presentation,
 )
@@ -115,6 +121,23 @@ def pairwise_decompose(z: PresentationMatrix, n: int) -> dict:
         assert remainder == 0 and count >= 0
         result[lam] = count
     return result
+
+
+def drawn_presentation(kind: str, rng: random.Random) -> PresentationMatrix:
+    """A random presentation of one of the input classes the decomposition
+    must hold on."""
+    if kind == "low relation":
+        return random_low_relation_presentation(rng)
+    if kind == "rational":
+        return with_rational_terms(random_presentation(rng), rng)
+    if kind == "no relations":
+        return PresentationMatrix(
+            tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3))), ()
+        )
+    while True:
+        z = random_presentation(rng)
+        if kind == "random" or z.num_generators > 1:
+            return z
 
 
 def per_pivot_trace(ev, sigma) -> Fraction:
@@ -483,6 +506,62 @@ class TestDecompose:
                 assert decompose_at(z, n) == pairwise_decompose(z, n)
         for n in range(10, 13):
             assert decompose_at(TRIANGLE, n) == pairwise_decompose(TRIANGLE, n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from(
+            ["random", "low relation", "rational", "no relations", "several"]
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_matches_pairwise_on_every_input_class(self, kind, seed):
+        z = drawn_presentation(kind, random.Random(seed))
+        for n in range(10):
+            try:
+                expected = pairwise_decompose(z, n)
+            except ResourceCapError:
+                continue
+            assert decompose_at(z, n) == expected
+
+    def test_kostka_counts_semistandard_tableaux(self):
+        for n in range(9):
+            for lam in partitions(n):
+                for mu in partitions(n):
+                    assert _kostka(lam, mu) == semistandard_count(lam, mu), (lam, mu)
+
+    def test_fixed_tabloids_from_cycle_counts(self):
+        # the counts may stop at the length of the rows below the top, as
+        # decompose passes them, or run on to n
+        for n in range(8):
+            for nu in partitions(n):
+                sigma = class_representative(nu)
+                for mu in partitions(n):
+                    expected = fixed_tabloid_count(mu, sigma)
+                    for g in {n - (mu[0] if mu else 0), n}:
+                        counts = tuple(nu.count(j) for j in range(1, g + 1))
+                        assert _fixed_tabloids(mu[1:], counts) == expected, (mu, nu, g)
+
+    def test_dimension_check_catches_a_missing_shape(self, monkeypatch):
+        # The triangle at n = 12 is (11, 1) once.  Without that shape its
+        # invariants land on (10, 2) and (10, 1, 1), once each and neither
+        # negative, so only the dimension check sees it: 54 + 55, not 11.
+        assert decompose_at(TRIANGLE, 12)[(11, 1)] == 1
+        top_shapes = oracle._top_shapes
+        monkeypatch.setattr(
+            oracle, "_top_shapes",
+            lambda n, g: [lam for lam in top_shapes(n, g) if lam != (11, 1)],
+        )
+        with pytest.raises(ArithmeticError, match="dimension 109, not 11"):
+            decompose_at(TRIANGLE, 12)
+
+    def test_reads_no_character(self, e_presentation, monkeypatch):
+        def no_character(mu):
+            raise AssertionError("decompose read a character")
+
+        monkeypatch.setattr(specht, "character_column", no_character)
+        assert not hasattr(oracle, "character_column")
+        assert decompose_at(e_presentation, 7) == pairwise_decompose(e_presentation, 7)
+        assert decompose_at(TRIANGLE, 12) == pairwise_decompose(TRIANGLE, 12)
 
     def test_class_budget(self, monkeypatch):
         # p(20) = 627 and p(21) = 792 classes; the default cap of 5000
