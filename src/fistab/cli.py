@@ -25,6 +25,7 @@ from fractions import Fraction
 from .budget import ResourceCapError, check_cells
 from .combinatorics import (
     check_partition,
+    check_permutation,
     hook_length_count,
     monotone_injections,
     partitions,
@@ -205,9 +206,7 @@ def _parse_perm(text: str):
         images = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse permutation {text!r}") from None
-    if sorted(images) != list(range(1, len(images) + 1)):
-        raise ValueError(f"{list(images)} is not a permutation of 1..{len(images)}")
-    return images
+    return check_permutation(images)
 
 
 def _shape_str(lam) -> str:

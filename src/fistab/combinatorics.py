@@ -39,6 +39,16 @@ def identity(k: int) -> tuple[int, ...]:
     return tuple(range(1, k + 1))
 
 
+def check_permutation(p) -> tuple[int, ...]:
+    """Validate and return p as a permutation of [len(p)] in one-line
+    notation."""
+    p = tuple(p)
+    points = range(1, len(p) + 1)
+    if not all(isinstance(v, int) for v in p) or sorted(p) != list(points):
+        raise ValueError(f"{list(p)} is not a permutation of 1..{len(p)}")
+    return p
+
+
 def inverse(p):
     """Inverse of a permutation in one-line notation."""
     inv = [0] * len(p)
@@ -283,6 +293,7 @@ __all__ = [
     "Tableau",
     "all_injections",
     "check_partition",
+    "check_permutation",
     "class_representative",
     "class_size",
     "col_word",

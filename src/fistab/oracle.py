@@ -32,25 +32,28 @@ plain ints and makes one Fraction per pivot value.  The dense relation
 matrix is built only in the tests, as the reference the ranks are
 checked against.
 
-Decomposition takes one trace per class and weights it by the class
-size, summed over the classes with the same numbers of cycles of each
-length up to g, the largest generator degree.  A permutation fixes a
-tabloid of shape mu exactly when each row is a union of its cycles;
-that count against the weights gives d_mu = dim M[n]^{S_mu}, which by
-Young's rule is the sum of K_{lam mu} m_lam over lam dominating mu.  By
-Pieri only the top shapes, top row at least n - g, can occur.  They are
-closed upward in dominance, so the unitriangular Kostka system over them
-is solved in descending lexicographic order, and their multiplicities
-times their dimensions must add up to dim M[n].
+Decomposition takes one trace per vector (c_1, ..., c_g) of the numbers
+of cycles of each length up to g, the largest generator degree, weighted
+by the size of all the classes with that vector: on the triangle at
+n = 16, 65 traces for 231 classes.  By Pieri only the top shapes, top
+row at least n - g, occur, and over them the Kostka matrix is
+unitriangular, so the character is an integer combination of the
+permutation characters on their tabloids, which see only c_1, ..., c_g
+(see :meth:`DegreeEvaluation.decompose`).  Counting the tabloids each
+vector fixes gives d_mu = dim M[n]^{S_mu}, which by Young's rule is the
+sum of K_{lam mu} m_lam over lam dominating mu.  The system is solved in
+descending lexicographic order, and the top shapes' multiplicities times
+their dimensions must add up to dim M[n].
 
 Because work grows quickly with the degree, evaluation refuses degrees
 beyond a budget: ambient rows above the cap (default 5000) or relation
 columns above ten times it.  Decomposition also refuses a degree whose
 class count p(n), squared, exceeds a hundred times the cap, before any
-trace is taken; it takes one trace per class.  At the default cap that
-admits n <= 20 and refuses n = 21.  Override with FISTAB_ORACLE_CAP
-(:mod:`fistab.budget`).  The budget is checked on every call, before the
-cache of evaluated degrees is consulted.
+trace is taken: it groups every class by its short cycles and pairs
+every top shape with every group, and there are at most p(n) of each.
+At the default cap that admits n <= 20 and refuses n = 21.  Override
+with FISTAB_ORACLE_CAP (:mod:`fistab.budget`).  The budget is checked on
+every call, before the cache of evaluated degrees is consulted.
 """
 
 from bisect import bisect_right
@@ -65,6 +68,7 @@ from .combinatorics import (
     Partition,
     all_injections,
     check_partition,
+    check_permutation,
     class_representative,
     class_size,
     falling_factorial,
@@ -141,6 +145,7 @@ class DegreeEvaluation:
 
     def permutation_trace(self, sigma) -> int:
         """Character of the module at this degree, on any permutation."""
+        sigma = check_permutation(sigma)
         if len(sigma) != self.n:
             raise ValueError(f"permutation of {len(sigma)} points at degree {self.n}")
         fixed = sum(1 for i, v in enumerate(sigma, start=1) if v == i)
@@ -172,25 +177,41 @@ class DegreeEvaluation:
         class-weighted sum of traces times the tabloids of shape mu that
         the class fixes, over n!; by Young's rule it equals the sum of
         K_{lam mu} m_lam over lam dominating mu, all of them top shapes.
-        Solving in descending lexicographic order gives each m_mu.  Every
-        other shape gets 0, and that is checked, not assumed: the top
-        shapes' multiplicities times their dimensions must add up to the
-        cokernel dimension, and as no multiplicity is negative, a match
-        leaves nothing for any other shape.  A degree with too many
-        classes is refused before any trace is taken.  A non-integer
-        d_mu, a negative multiplicity or a dimension mismatch indicates
-        an internal inconsistency and raises ArithmeticError.
+        Solving in descending lexicographic order gives each m_mu.
+
+        The same unitriangular system read the other way writes chi as
+        an integer combination of the permutation characters of the top
+        shapes.  A tabloid of shape mu is fixed exactly when each row is
+        a union of cycles, and the rows below the top hold
+        n - mu_1 <= g boxes, so a cycle longer than g lies in the top
+        row: the count sees only the numbers c_1, ..., c_g of cycles of
+        length up to g.  So chi is constant on the classes that share
+        those numbers, and one trace, on the first such class, stands for
+        all of them, weighted by the sum of their sizes.  This is the
+        exact-degree counterpart of the character polynomials in c_1, ...,
+        c_g of Church, Ellenberg and Farb (arXiv:1204.4533), which hold
+        only for n large.
+
+        Every shape outside the top gets 0, and that is checked, not
+        assumed: the top shapes' multiplicities times their dimensions
+        must add up to the cokernel dimension, and as no multiplicity is
+        negative, a match leaves nothing for any other shape.  A degree
+        with too many classes is refused before any trace is taken.  A
+        non-integer d_mu, a negative multiplicity or a dimension mismatch
+        indicates an internal inconsistency and raises ArithmeticError.
         """
         n = self.n
         _check_class_budget(n)
         g = min(self._z.max_generator_degree, n)
-        # only the cycles of length <= g fit in the rows below the top
-        weights: dict[tuple[int, ...], int] = {}
+        # each vector of counts keeps its first class and its classes' size
+        groups: dict[tuple[int, ...], list] = {}
         for nu in partitions(n):
-            trace = self.cokernel_trace(nu)
-            if trace:
-                counts = tuple(nu.count(j) for j in range(1, g + 1))
-                weights[counts] = weights.get(counts, 0) + class_size(nu) * trace
+            counts = tuple(nu.count(j) for j in range(1, g + 1))
+            groups.setdefault(counts, [nu, 0])[1] += class_size(nu)
+        weights = {
+            counts: size * self.cokernel_trace(nu)
+            for counts, (nu, size) in groups.items()
+        }
         order = factorial(n)
         found: dict[Partition, int] = {}
         dimension = 0
@@ -323,10 +344,11 @@ def _check_budget(z: PresentationMatrix, n: int) -> None:
 def _check_class_budget(n: int) -> None:
     """Refuse to decompose a degree with more than sqrt(100 * cap) classes.
 
-    Decomposing takes one trace per class, each one pass over the reduced
-    image basis; the budget bounds p(n)^2.  The counts p(m) grow with m
-    and are taken from m = 0 up, stopping at the first one over the
-    budget, so a huge degree is refused without enumerating its
+    Decomposing groups every class by its numbers of short cycles and
+    sums the fixed tabloids of every top shape over every group; both
+    number at most p(n), so the budget bounds p(n)^2.  The counts p(m)
+    grow with m and are taken from m = 0 up, stopping at the first one
+    over the budget, so a huge degree is refused without enumerating its
     partitions.
     """
     budget = 100 * row_cap()
@@ -335,10 +357,10 @@ def _check_class_budget(n: int) -> None:
         if classes * classes > budget:
             at_least = "" if m == n else "at least "
             raise ResourceCapError(
-                f"degree {n} has {at_least}{classes} classes, and decomposing "
-                f"it takes one trace per class; {classes}^2 = "
-                f"{classes * classes} is over the class budget of {budget} "
-                f"(raise {ROW_CAP_ENV} to override)"
+                f"degree {n} has {at_least}{classes} classes; {classes}^2 = "
+                f"{classes * classes} is over the class budget of {budget}, "
+                f"which bounds the (shape, cycle count) pairs that decomposing "
+                f"sums over (raise {ROW_CAP_ENV} to override)"
             )
 
 

@@ -41,6 +41,7 @@ from functools import cache
 from .combinatorics import (
     Partition,
     check_partition,
+    check_permutation,
     col_word,
     identity,
     inverse,
@@ -146,7 +147,7 @@ def specht_raw(lam: Partition, sigma) -> RationalMatrix:
     but not yet multiplicative: see specht_action for the corrected
     module.
     """
-    rows = specht_rows(lam, sigma)
+    rows = specht_rows(lam, check_permutation(sigma))
     return RationalMatrix(rows, len(rows))
 
 
@@ -176,7 +177,7 @@ def specht_action(lam: Partition, sigma) -> RationalMatrix:
     up in integers: row t is U_tt times (row t of the right side, less
     U_tu times row u of X for every u > t).
     """
-    rows = specht_rows(lam, sigma)
+    rows = specht_rows(lam, check_permutation(sigma))
     unit = _unit_rows(lam)
     solved = [None] * len(rows)
     for t in reversed(range(len(rows))):

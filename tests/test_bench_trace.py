@@ -94,9 +94,11 @@ def test_every_required_decompose_span_is_recorded(decompose_trace, workload):
     assert not missing
 
 
-def test_decompose_takes_one_trace_per_class(decompose_trace):
+def test_decompose_takes_one_trace_per_cycle_count_vector(decompose_trace):
+    # the triangle's largest generator degree is 2: its 22 classes at
+    # n = 8 have 17 distinct numbers of 1-cycles and 2-cycles
     names = [span[0] for span in decompose_trace["spans"]]
-    assert names.count("oracle.trace") == len(partitions(TRIANGLE_N))
+    assert names.count("oracle.trace") == 17
 
 
 def test_every_cache_reader_returns_an_int(trace):

@@ -209,6 +209,12 @@ class TestCommands:
         assert main(["specht", "--shape", "1", "--perm", ""]) == 2
         assert "size" in capsys.readouterr().err
 
+    def test_specht_non_permutation(self, capsys):
+        assert main(["specht", "--shape", "2,1", "--perm", "1,1,3"]) == 2
+        assert capsys.readouterr().err == (
+            "error: [1, 1, 3] is not a permutation of 1..3\n"
+        )
+
     def test_specht_size_mismatch(self, capsys):
         assert main(["specht", "--shape", "2", "--perm", "1,3,2"]) == 2
         assert "size" in capsys.readouterr().err
@@ -287,8 +293,8 @@ class TestCommands:
 
     def test_class_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # M(0) has one ambient row at every degree, so only the class
-        # budget, on p(n)^2, stands between decompose and one trace per
-        # class
+        # budget, on p(n)^2, refuses its decompose; the one cycle-count
+        # vector there takes one trace at any degree
         path = tmp_path / "m0.fipres"
         path.write_text("generators: 0\nrelations:\n", encoding="utf-8")
         monkeypatch.delenv("FISTAB_ORACLE_CAP", raising=False)

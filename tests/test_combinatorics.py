@@ -6,6 +6,7 @@ import pytest
 from fistab.combinatorics import (
     all_injections,
     check_partition,
+    check_permutation,
     class_representative,
     class_size,
     col_word,
@@ -151,6 +152,14 @@ class TestPermutations:
     def test_class_sizes_sum_to_group_order(self):
         for k in range(1, 8):
             assert sum(class_size(mu) for mu in partitions(k)) == factorial(k)
+
+    def test_check_permutation(self):
+        for k in range(5):
+            for p in symmetric_group(k):
+                assert check_permutation(list(p)) == p
+        for p in [(0, 1, 2, 3), (1, 1, 3, 4), (5, 1, 2, 3), (2,), (1, 3), (2.0, 1.0)]:
+            with pytest.raises(ValueError, match="is not a permutation of"):
+                check_permutation(p)
 
 
 def box_by_box_hook_count(lam) -> int:

@@ -449,6 +449,39 @@ class TestTraces:
                     assert cycle_type(conj) == mu
                     assert ev.permutation_trace(conj) == ev.permutation_trace(rep)
 
+    def test_refuses_a_non_permutation(self):
+        # a repeated or out-of-range image would move an injection off the
+        # basis, or onto a wrong one and give a wrong trace
+        ev = evaluate_degree(TRIANGLE, 4)
+        for sigma in [(0, 1, 2, 3), (1, 1, 3, 4), (5, 1, 2, 3)]:
+            with pytest.raises(ValueError, match="is not a permutation"):
+                ev.permutation_trace(sigma)
+        with pytest.raises(ValueError, match="at degree 4"):
+            ev.permutation_trace((2, 1))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from(
+            ["random", "low relation", "rational", "no relations", "several"]
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_depends_only_on_short_cycles(self, kind, seed):
+        # the classes with the same numbers of cycles of each length up to
+        # the largest generator degree share one trace
+        z = drawn_presentation(kind, random.Random(seed))
+        for n in range(10):
+            try:
+                ev = evaluate_degree(z, n)
+            except ResourceCapError:
+                continue
+            g = z.max_generator_degree
+            traces: dict[tuple[int, ...], set[int]] = {}
+            for nu in partitions(n):
+                counts = tuple(nu.count(j) for j in range(1, g + 1))
+                traces.setdefault(counts, set()).add(ev.cokernel_trace(nu))
+            assert all(len(values) == 1 for values in traces.values()), n
+
 
 class TestTracePlan:
     def test_some_pivot_value_is_not_one(self):
@@ -562,6 +595,28 @@ class TestDecompose:
         assert not hasattr(oracle, "character_column")
         assert decompose_at(e_presentation, 7) == pairwise_decompose(e_presentation, 7)
         assert decompose_at(TRIANGLE, 12) == pairwise_decompose(TRIANGLE, 12)
+
+    @pytest.mark.parametrize("z, n, traces", [
+        (TRIANGLE, 16, 65),
+        (parse_presentation(E_FILE), 10, 37),
+        (free_module(0), 20, 1),
+    ])
+    def test_one_trace_per_cycle_count_vector(self, monkeypatch, z, n, traces):
+        g = min(z.max_generator_degree, n)
+        vectors = {
+            tuple(nu.count(j) for j in range(1, g + 1)) for nu in partitions(n)
+        }
+        assert len(vectors) == traces
+        taken = []
+        trace = DegreeEvaluation.cokernel_trace
+
+        def counted(self, mu):
+            taken.append(mu)
+            return trace(self, mu)
+
+        monkeypatch.setattr(DegreeEvaluation, "cokernel_trace", counted)
+        decompose_at(z, n)
+        assert len(taken) == traces
 
     def test_class_budget(self, monkeypatch):
         # p(20) = 627 and p(21) = 792 classes; the default cap of 5000

@@ -140,6 +140,13 @@ class TestActionMatrices:
                 d = hook_length_count(lam)
                 assert specht_action(lam, identity(k)) == identity_matrix(d)
 
+    def test_refuses_a_non_permutation(self):
+        # a repeated image would pair tableaux into a singular matrix
+        for sigma in [(1, 1, 3), (0, 1, 2), (4, 1, 2)]:
+            for build in (specht_action, specht_raw):
+                with pytest.raises(ValueError, match="is not a permutation"):
+                    build((2, 1), sigma)
+
     def test_sign_representation(self):
         assert specht_action((1, 1), (2, 1)) == dense([[-1]])
         for sigma in symmetric_group(4):
