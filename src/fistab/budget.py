@@ -1,11 +1,11 @@
 """The one resource cap shared by both routes.
 
 ``FISTAB_ORACLE_CAP`` (default 5000) bounds the oracle's ambient rows at
-a degree; the oracle scales it for relation columns and character
-values (see :mod:`fistab.oracle`).  The closed form and the ``specht``
-and ``amatrix`` commands scale it to a budget of 2000 times the cap on
-the rows times the columns of one matrix (:func:`check_cells`), 10 M
-cells at the default.  The budget counts every cell, though a matrix
+a degree; the oracle scales it for relation columns and for the class
+budget of a decomposition (see :mod:`fistab.oracle`).  The closed form
+and the ``specht`` and ``amatrix`` commands scale it to a budget of 2000
+times the cap on the rows times the columns of one matrix
+(:func:`check_cells`), 10 M cells at the default.  The budget counts every cell, though a matrix
 stores only its nonzero entries.
 """
 

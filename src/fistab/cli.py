@@ -85,7 +85,12 @@ def _parse_terms(body: str, lineno: int):
                 raise PresentationParseError(
                     lineno, f"coefficient {text} has a zero denominator"
                 ) from None
-        images = tuple(int(v) for v in match.group("images").split())
+        try:
+            images = tuple(int(v) for v in match.group("images").split())
+        except ValueError:
+            raise PresentationParseError(
+                lineno, f"images must be integers: [{match.group('images')}]"
+            ) from None
         terms.append((images, sign * coeff))
         pos = match.end()
         first = False
@@ -344,7 +349,6 @@ def _cmd_specht(args) -> int:
 
 def _amatrix_labels(z: PresentationMatrix, shape) -> tuple[list[str], list[str]]:
     k = sum(shape)
-    dim = hook_length_count(shape)
 
     def injection_label(p) -> str:
         if not p:
@@ -356,7 +360,7 @@ def _amatrix_labels(z: PresentationMatrix, shape) -> tuple[list[str], list[str]]
         for b, degree in enumerate(degrees):
             head = f"{prefix}{b + 1}:" if len(degrees) > 1 else ""
             for p in monotone_injections(k, degree):
-                for t in range(dim):
+                for t in range(hook_length_count(shape)):
                     labels.append(f"{head}{injection_label(p)}×t{t + 1}")
         return labels
 

@@ -175,20 +175,38 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
-def _is_horizontal_strip_extension(inner: Partition, outer: Partition) -> bool:
-    """True iff outer minus inner is a horizontal strip: outer has at most
-    one more part than inner, and outer_1 >= inner_1 >= outer_2 >= ...
-    >= inner_l >= outer_(l+1) interlace, l = len(inner)."""
-    return len(inner) <= len(outer) <= len(inner) + 1 and all(
-        a >= b >= c for a, b, c in zip(outer, inner, outer[1:] + (0,))
-    )
+def _interlacing(lo: Partition, hi: Partition, total: int, i: int = 0):
+    """Yield the partitions of total with at most len(hi) parts, the i-th
+    in [lo_i, hi_i], in descending lexicographic order.
+
+    The bounds interlace, hi_(i+1) <= lo_i, so every such tuple is
+    non-increasing.  Each part is also held to what the later rows can
+    still take, between the sums of their lo and of their hi, so every
+    branch of the walk yields, and the work is bounded by the output,
+    not by the partitions of total.
+    """
+    if i == len(hi):
+        if total == 0:
+            yield ()
+        return
+    top = min(hi[i], total - sum(lo[i + 1:]))
+    for part in range(top, max(lo[i], total - sum(hi[i + 1:])) - 1, -1):
+        for rest in _interlacing(lo, hi, total - part, i + 1):
+            yield (part, *rest) if part else rest
 
 
 def horizontal_strip_extensions(lam: Partition, size: int) -> list[Partition]:
-    """All partitions of the given size extending lam by a horizontal strip."""
-    return [
-        mu for mu in partitions(size) if _is_horizontal_strip_extension(lam, mu)
-    ]
+    """All partitions of the given size extending lam by a horizontal
+    strip: those mu with mu_1 >= lam_1 >= mu_2 >= ... >= lam_l >= mu_(l+1),
+    in descending lexicographic order."""
+    return list(_interlacing(lam + (0,), (size,) + lam, size))
+
+
+def horizontal_strip_removals(lam: Partition, size: int) -> list[Partition]:
+    """All partitions of the given size that lam extends by a horizontal
+    strip: those rho with lam_1 >= rho_1 >= lam_2 >= rho_2 >= ..., in
+    descending lexicographic order."""
+    return list(_interlacing(lam[1:] + (0,), lam, size))
 
 
 @cache
@@ -302,6 +320,7 @@ __all__ = [
     "falling_factorial",
     "hook_length_count",
     "horizontal_strip_extensions",
+    "horizontal_strip_removals",
     "identity",
     "inverse",
     "monotone_injections",

@@ -73,6 +73,7 @@ from .combinatorics import (
     class_size,
     falling_factorial,
     hook_length_count,
+    horizontal_strip_removals,
     inverse,
     partitions,
 )
@@ -288,25 +289,8 @@ def _kostka(lam: Partition, mu: Partition) -> int:
     """
     if len(mu) <= 1:
         return int(lam == mu)
-    return sum(_kostka(rho, mu[:-1]) for rho in _strip_removals(lam, mu[-1]))
-
-
-def _strip_removals(lam: Partition, size: int, i: int = 0):
-    """Yield every rho with lam / rho a horizontal strip of the given
-    size, reading rows from i on.
-
-    rho interlaces lam, lam_1 >= rho_1 >= lam_2 >= rho_2 >= ..., and each
-    rho_i is at least lam_i less what is left of the strip, so the
-    enumeration is bounded by the strip's size, not by |lam|.
-    """
-    if i == len(lam):
-        if size == 0:
-            yield ()
-        return
-    below = lam[i + 1] if i + 1 < len(lam) else 0
-    for part in range(max(below, lam[i] - size), lam[i] + 1):
-        for rest in _strip_removals(lam, size - (lam[i] - part), i + 1):
-            yield (part, *rest) if part else rest
+    removals = horizontal_strip_removals(lam, sum(lam) - mu[-1])
+    return sum(_kostka(rho, mu[:-1]) for rho in removals)
 
 
 def _excess(n: int, degrees, bound: int) -> str | None:

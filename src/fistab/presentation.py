@@ -268,11 +268,14 @@ def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalM
     Row blocks run over generators, column blocks over relations; zero
     entries of the presentation stay zero blocks without enumerating
     injections.  No generators of degree >= |lam| means no rows, and no
-    relations means no columns.
+    relations means no columns; with neither, f^lam is not computed.
     """
     lam = check_partition(lam)
+    k = sum(lam)
+    degrees = z.generator_degrees + z.relation_degrees
+    dim = hook_length_count(lam) if any(d >= k for d in degrees) else 0
     return _transport(
-        lambda sigma: specht_rows(lam, sigma), sum(lam), hook_length_count(lam),
+        lambda sigma: specht_rows(lam, sigma), k, dim,
         z.generator_degrees, z.relation_degrees,
         {pos: s.terms for pos, s in z.entries.items()},
     )

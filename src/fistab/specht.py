@@ -7,11 +7,10 @@ not an assumption:
   partition as honest matrices acting on the span of its standard
   tableaux, and a character is the trace of one of them (computed in the
   tests only);
-- rim hooks: ``character_column`` computes chi(mu) for every shape of
-  |mu| at once by Murnaghan-Nakayama, pushing the column of mu[1:]
-  through a cached table of the rim hooks of length mu_1 of every shape.
-  ``mn_character`` reads one value chi_lam(mu) off the column of mu.
-  The oracle reads no character: it decomposes by Young's rule.
+- rim hooks: ``mn_character`` computes one value chi_lam(mu) by the
+  Murnaghan-Nakayama recursion, removing a rim hook of length mu_1 from
+  lam and recursing on mu[1:].  The oracle reads no character: it
+  decomposes by Young's rule.
 
 The tests hold a third, independent rim-hook recursion on beta sets as
 the reference for both.
@@ -45,7 +44,6 @@ from .combinatorics import (
     col_word,
     identity,
     inverse,
-    partitions,
     row_word,
     sign,
     standard_tableaux,
@@ -225,56 +223,24 @@ def _rim_hooks(lam: Partition, k: int):
 
 
 @cache
-def _positions(n: int) -> dict[Partition, int]:
-    """The position of every partition of n in partitions(n)."""
-    return {lam: i for i, lam in enumerate(partitions(n))}
-
-
-@cache
-def _hook_table(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The k-rim hooks of every shape of n, by position.
-
-    Entry i lists, for each k-rim hook of partitions(n)[i], the position
-    of the remaining shape in partitions(n - k) and the hook's sign.
-    """
-    position = _positions(n - k)
-    return tuple(
-        tuple((position[smaller], sign) for smaller, sign in _rim_hooks(lam, k))
-        for lam in partitions(n)
-    )
-
-
-@cache
-def character_column(mu: Partition) -> tuple[int, ...]:
-    """Every irreducible character on the class of cycle type mu.
-
-    Entry i is the character of partitions(|mu|)[i].  Removing a rim hook
-    of length mu_1 turns the column of mu into the column of mu[1:],
-    read through _hook_table; the column of the empty class is (1,).
-    """
-    mu = check_partition(mu)
-    if not mu:
-        return (1,)
-    below = character_column(mu[1:])
-    return tuple(
-        sum(sign * below[j] for j, sign in hooks)
-        for hooks in _hook_table(sum(mu), mu[0])
-    )
-
-
-@cache
 def mn_character(lam: Partition, mu: Partition) -> int:
     """Character value of the irreducible lam on the class of cycle type
-    mu: the entry for lam in character_column(mu)."""
+    mu, by Murnaghan-Nakayama: the signed sum, over the rim hooks of
+    length mu_1 in lam, of the character of what is left on mu[1:].
+    The empty class gives 1."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"|{lam}| = {sum(lam)} but |{mu}| = {sum(mu)}")
-    return character_column(mu)[_positions(sum(mu))[lam]]
+    if not mu:
+        return 1
+    return sum(
+        sign * mn_character(smaller, mu[1:])
+        for smaller, sign in _rim_hooks(lam, mu[0])
+    )
 
 
 __all__ = [
-    "character_column",
     "mn_character",
     "specht_action",
     "specht_raw",

@@ -16,6 +16,9 @@ from fistab.cli import (
 )
 from fistab.oracle import VerificationReport
 from fistab.presentation import FormalSum, PresentationMatrix
+import fistab.cli
+import fistab.multiplicity
+import fistab.presentation
 
 from conftest import E_FILE, random_low_relation_presentation, random_presentation
 
@@ -266,6 +269,27 @@ class TestCommands:
         assert capsys.readouterr().err == (
             "error: line 3: coefficient 1/0 has a zero denominator\n"
         )
+
+    @pytest.mark.parametrize("term", ["[1,2]", "[1 x]", "[1 2.5]"])
+    def test_non_integer_images_exit_code(self, tmp_path, capsys, term):
+        path = tmp_path / "bad.fipres"
+        path.write_text(f"generators: 2\nrelations: 2\nentry 1 1 : {term} + [2 1]\n")
+        assert main(["multiplicities", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 3: images must be integers: {term}\n"
+        )
+
+    def test_amatrix_without_blocks_skips_the_dimension(
+        self, e_file, capsys, monkeypatch
+    ):
+        # no degree of E reaches 10^6 boxes, so f^lam sizes nothing
+        def no_dimension(lam):
+            raise AssertionError(f"computed f^lam for {lam}")
+
+        for module in (fistab.cli, fistab.multiplicity, fistab.presentation):
+            monkeypatch.setattr(module, "hook_length_count", no_dimension)
+        assert main(["amatrix", e_file, "--shape", "1000000"]) == 0
+        assert capsys.readouterr().out == "0x0 matrix for shape [1000000]\n"
 
     def test_module_entry_point_runs_without_warnings(self):
         # importing the package must not import fistab.cli, or runpy warns

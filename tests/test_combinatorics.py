@@ -14,6 +14,8 @@ from fistab.combinatorics import (
     conjugate,
     falling_factorial,
     hook_length_count,
+    horizontal_strip_extensions,
+    horizontal_strip_removals,
     identity,
     inverse,
     monotone_injections,
@@ -24,9 +26,18 @@ from fistab.combinatorics import (
     sorting_permutation,
     standard_tableaux,
 )
-from fistab.combinatorics import _is_horizontal_strip_extension
+import fistab.combinatorics as combinatorics
 
 from conftest import box_sign, cycle_type, symmetric_group
+
+
+def is_strip(inner, outer) -> bool:
+    """True iff outer / inner is a horizontal strip: outer has at most one
+    more part than inner, and outer_1 >= inner_1 >= outer_2 >= ... >=
+    inner_l >= outer_(l+1) interlace, l = len(inner)."""
+    return len(inner) <= len(outer) <= len(inner) + 1 and all(
+        a >= b >= c for a, b, c in zip(outer, inner, outer[1:] + (0,))
+    )
 
 
 def brute_force_partitions(k: int) -> set[tuple[int, ...]]:
@@ -305,13 +316,13 @@ class TestBoxSign:
 
 class TestShapes:
     def test_horizontal_strip_examples(self):
-        assert _is_horizontal_strip_extension((1,), (2,))
-        assert _is_horizontal_strip_extension((1,), (1, 1))
-        assert not _is_horizontal_strip_extension((1,), (1, 1, 1))
-        assert _is_horizontal_strip_extension((2, 2), (3, 2))
+        assert (2,) in horizontal_strip_extensions((1,), 2)
+        assert (1, 1) in horizontal_strip_extensions((1,), 2)
+        assert (1, 1, 1) not in horizontal_strip_extensions((1,), 3)
+        assert (3, 2) in horizontal_strip_extensions((2, 2), 5)
 
     def test_strip_requires_containment(self):
-        assert not _is_horizontal_strip_extension((2,), (1, 1))
+        assert (1, 1) not in horizontal_strip_extensions((2,), 2)
 
     def test_strip_definition(self):
         # against the raw definition: containment plus <= 1 new box per column
@@ -332,7 +343,35 @@ class TestShapes:
                         by_def = contained and all(
                             o - i <= 1 for i, o in zip(inner_cols, outer_cols)
                         )
-                        assert _is_horizontal_strip_extension(inner, outer) == by_def
+                        assert (outer in horizontal_strip_extensions(inner, m)) == by_def
+
+    def test_walks_match_the_definition_in_order(self):
+        # both strip relations, against a scan of every partition of the
+        # size, kept in descending lexicographic order
+        for k in range(9):
+            for lam in partitions(k):
+                for size in range(12):
+                    assert horizontal_strip_extensions(lam, size) == [
+                        mu for mu in partitions(size) if is_strip(lam, mu)
+                    ]
+                    assert horizontal_strip_removals(lam, size) == [
+                        rho for rho in partitions(size) if is_strip(rho, lam)
+                    ]
+
+    def test_extensions_scan_no_partitions(self, monkeypatch):
+        def no_scan(k):
+            raise AssertionError("scanned the partitions of the size")
+
+        monkeypatch.setattr(combinatorics, "partitions", no_scan)
+        found = horizontal_strip_extensions((5, 3, 1), 60)
+        assert len(found) == 18
+        assert found == sorted(
+            (
+                tuple(p for p in (60 - b - c - d, b, c, d) if p)
+                for b in (3, 4, 5) for c in (1, 2, 3) for d in (0, 1)
+            ),
+            reverse=True,
+        )
 
     def test_binomial_count_of_monotone(self):
         for k in range(5):

