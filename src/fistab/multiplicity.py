@@ -11,32 +11,64 @@ first one is built, and a shape over the cell budget of
 :func:`fistab.budget.check_cells` refuses the whole table.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .budget import check_cells
-from .combinatorics import Partition, hook_length_count, partitions
+from .combinatorics import Partition, check_partition, hook_length_count, partitions
 from .presentation import PresentationMatrix, induced_raw_presentation
 
 
-@dataclass(frozen=True)
 class MultiplicityTable:
     """Eventual multiplicity of every partition up to the generator bound.
 
     ``counts`` holds one entry (zeros included) for each partition of
     size at most ``max_generator_degree``, in table order; partitions
-    beyond that bound have multiplicity 0 implicitly.
+    beyond that bound have multiplicity 0 implicitly.  Immutable and
+    compared by its fields; as ``counts`` is a dict, it is not hashable.
     """
 
-    counts: dict[Partition, int]
-    max_generator_degree: int
-    max_relation_degree: int
+    __slots__ = ("counts", "max_generator_degree", "max_relation_degree")
+
+    def __init__(
+        self,
+        counts: dict[Partition, int],
+        max_generator_degree: int,
+        max_relation_degree: int,
+    ):
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "max_generator_degree", max_generator_degree)
+        object.__setattr__(self, "max_relation_degree", max_relation_degree)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MultiplicityTable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("MultiplicityTable is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.counts, self.max_generator_degree, self.max_relation_degree)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"MultiplicityTable(counts={self.counts!r}, "
+            f"max_generator_degree={self.max_generator_degree!r}, "
+            f"max_relation_degree={self.max_relation_degree!r})"
+        )
 
     def __getitem__(self, lam: Partition) -> int:
+        lam = check_partition(lam)
         if sum(lam) > self.max_generator_degree:
             return 0
-        return self.counts[tuple(lam)]
+        return self.counts[lam]
 
     def shapes(self) -> list[Partition]:
         """Partitions in table order: by size, then descending lex."""
@@ -95,15 +127,38 @@ def onset_bound(z: PresentationMatrix) -> int:
     return g + max(g, z.max_relation_degree)
 
 
-@dataclass(frozen=True)
 class DimensionPolynomial:
     """Exact polynomial giving dim M[n] for every degree n >= onset.
 
     ``coeffs`` are Fractions, ascending degree, no trailing zeros.
+    Immutable, compared and hashed by its coefficients and onset.
     """
 
-    coeffs: tuple[Fraction, ...]
-    onset: int
+    __slots__ = ("coeffs", "onset")
+
+    def __init__(self, coeffs: tuple[Fraction, ...], onset: int):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "onset", onset)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DimensionPolynomial is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DimensionPolynomial is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.coeffs, self.onset)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"DimensionPolynomial(coeffs={self.coeffs!r}, onset={self.onset!r})"
 
     @property
     def degree(self) -> int:

@@ -57,7 +57,6 @@ every call, before the cache of evaluated degrees is consulted.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from math import comb, factorial, gcd, lcm
@@ -81,24 +80,55 @@ from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_b
 from .presentation import PresentationMatrix
 from .ratmat import Echelon
 
-@dataclass
+
 class DegreeEvaluation:
     """One degree of the presented module, evaluated exactly.
 
     The module at this degree is the cokernel of the relation matrix on
     injection bases; its dimension is the ambient dimension minus the
     matrix rank.  The reduced image basis supports trace extraction for
-    every conjugacy class.
+    every conjugacy class.  The repr shows n, ambient_dim and rank only;
+    equality compares every field, and an evaluation is not hashable.
     """
 
-    n: int
-    ambient_dim: int
-    rank: int
-    _z: PresentationMatrix = field(repr=False)
-    _offsets: list[int] = field(repr=False)
-    _injections: list[list[tuple[int, ...]]] = field(repr=False)
-    _index: list[dict[tuple[int, ...], int]] = field(repr=False)
-    _basis: Echelon = field(repr=False)
+    def __init__(
+        self,
+        n: int,
+        ambient_dim: int,
+        rank: int,
+        _z: PresentationMatrix,
+        _offsets: list[int],
+        _injections: list[list[tuple[int, ...]]],
+        _index: list[dict[tuple[int, ...], int]],
+        _basis: Echelon,
+    ):
+        self.n = n
+        self.ambient_dim = ambient_dim
+        self.rank = rank
+        self._z = _z
+        self._offsets = _offsets
+        self._injections = _injections
+        self._index = _index
+        self._basis = _basis
+
+    def _fields(self) -> tuple:
+        return (
+            self.n, self.ambient_dim, self.rank, self._z,
+            self._offsets, self._injections, self._index, self._basis,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"DegreeEvaluation(n={self.n!r}, ambient_dim={self.ambient_dim!r}, "
+            f"rank={self.rank!r})"
+        )
 
     @property
     def cokernel_dim(self) -> int:
@@ -451,36 +481,108 @@ def decompose_at(z: PresentationMatrix, n: int) -> dict[Partition, int]:
 # cross-checking the closed form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ShapeCheck:
-    """One degree-n irreducible compared against its predicted count."""
+    """One degree-n irreducible compared against its predicted count.
 
-    shape: Partition
-    tail: Partition
-    predicted: int
-    observed: int
+    Immutable, compared and hashed by its four fields.
+    """
+
+    __slots__ = ("shape", "tail", "predicted", "observed")
+
+    def __init__(
+        self, shape: Partition, tail: Partition, predicted: int, observed: int
+    ):
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "predicted", predicted)
+        object.__setattr__(self, "observed", observed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ShapeCheck is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("ShapeCheck is immutable")
+
+    def _fields(self) -> tuple:
+        return (self.shape, self.tail, self.predicted, self.observed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"ShapeCheck(shape={self.shape!r}, tail={self.tail!r}, "
+            f"predicted={self.predicted!r}, observed={self.observed!r})"
+        )
 
     @property
     def ok(self) -> bool:
         return self.predicted == self.observed
 
 
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of comparing one brute-forced degree with the closed form.
 
     ``pre_stable`` marks degrees below the onset bound, where mismatches
     carry no information; ``passed`` is only meaningful otherwise.
     ``invisible`` lists shapes whose predicted count cannot be seen at
-    this degree because their top row would be too short.
+    this degree because their top row would be too short.  Immutable,
+    compared and hashed by its six fields.
     """
 
-    n: int
-    onset: int
-    checks: tuple[ShapeCheck, ...]
-    invisible: tuple[tuple[Partition, int], ...]
-    oracle_dimension: int
-    polynomial_dimension: int
+    __slots__ = (
+        "n", "onset", "checks", "invisible",
+        "oracle_dimension", "polynomial_dimension",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        onset: int,
+        checks: tuple[ShapeCheck, ...],
+        invisible: tuple[tuple[Partition, int], ...],
+        oracle_dimension: int,
+        polynomial_dimension: int,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "onset", onset)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "invisible", invisible)
+        object.__setattr__(self, "oracle_dimension", oracle_dimension)
+        object.__setattr__(self, "polynomial_dimension", polynomial_dimension)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VerificationReport is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("VerificationReport is immutable")
+
+    def _fields(self) -> tuple:
+        return (
+            self.n, self.onset, self.checks, self.invisible,
+            self.oracle_dimension, self.polynomial_dimension,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"VerificationReport(n={self.n!r}, onset={self.onset!r}, "
+            f"checks={self.checks!r}, invisible={self.invisible!r}, "
+            f"oracle_dimension={self.oracle_dimension!r}, "
+            f"polynomial_dimension={self.polynomial_dimension!r})"
+        )
 
     @property
     def pre_stable(self) -> bool:

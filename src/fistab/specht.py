@@ -8,8 +8,8 @@ not an assumption:
   tableaux, and a character is the trace of one of them (computed in the
   tests only);
 - rim hooks: ``mn_character`` computes one value chi_lam(mu) by the
-  Murnaghan-Nakayama recursion, removing a rim hook of length mu_1 from
-  lam and recursing on mu[1:].  The oracle reads no character: it
+  Murnaghan-Nakayama rule, removing a rim hook of length mu_1 from
+  lam and going on with mu[1:].  The oracle reads no character: it
   decomposes by Young's rule.
 
 The tests hold a third, independent rim-hook recursion on beta sets as
@@ -42,6 +42,7 @@ from .combinatorics import (
     check_partition,
     check_permutation,
     col_word,
+    hook_length_count,
     identity,
     inverse,
     row_word,
@@ -227,17 +228,26 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     """Character value of the irreducible lam on the class of cycle type
     mu, by Murnaghan-Nakayama: the signed sum, over the rim hooks of
     length mu_1 in lam, of the character of what is left on mu[1:].
-    The empty class gives 1."""
+
+    The parts of mu are removed in a loop, over the shapes left with
+    their signed coefficients, so a class of any length is reached
+    without recursion.  Once only parts 1 remain, the character of each
+    shape left is its dimension f^shape, which the hook length formula
+    gives.  The empty class gives 1."""
     lam = check_partition(lam)
     mu = check_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"|{lam}| = {sum(lam)} but |{mu}| = {sum(mu)}")
-    if not mu:
-        return 1
-    return sum(
-        sign * mn_character(smaller, mu[1:])
-        for smaller, sign in _rim_hooks(lam, mu[0])
-    )
+    left = {lam: 1}
+    for k in mu:
+        if k == 1:
+            break
+        smaller_left: dict[Partition, int] = {}
+        for shape, coeff in left.items():
+            for smaller, sign in _rim_hooks(shape, k):
+                smaller_left[smaller] = smaller_left.get(smaller, 0) + sign * coeff
+        left = {shape: coeff for shape, coeff in smaller_left.items() if coeff}
+    return sum(coeff * hook_length_count(shape) for shape, coeff in left.items())
 
 
 __all__ = [

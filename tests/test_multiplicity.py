@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,17 @@ class TestMultiplicities:
         table = eventual_multiplicities(e_presentation)
         assert table[(4,)] == 0
         assert table[(2, 2)] == 0
+
+    def test_lookup_takes_any_sequence_of_parts(self, e_presentation):
+        table = eventual_multiplicities(e_presentation)
+        assert table[[1, 1]] == table[(1, 1)] == 2
+
+    def test_lookup_rejects_a_non_partition(self, e_presentation):
+        table = eventual_multiplicities(e_presentation)
+        with pytest.raises(ValueError, match="non-increasing"):
+            table[(1, 2)]
+        with pytest.raises(ValueError, match="non-positive"):
+            table[(2, 1, 0)]
 
     def test_invariants_match_empty_shape(self, e_presentation):
         rng = random.Random(101)

@@ -245,6 +245,11 @@ class TestCharacters:
         with pytest.raises(ValueError):
             mn_character((3, 0), (2, 1))
 
+    def test_long_classes(self):
+        # one part of mu per step once took one recursion level per part
+        assert mn_character((1000,), (1,) * 1000) == 1
+        assert mn_character((1,) * 802, (2,) * 401) == -1
+
     def test_matches_beta_set_reference(self):
         for n in range(11):
             for lam in partitions(n):
