@@ -17,62 +17,26 @@ from math import comb, factorial, lcm
 from .budget import check_cells
 from .combinatorics import Partition, check_partition, hook_length_count, partitions
 from .presentation import PresentationMatrix, induced_raw_presentation
+from .record import Record
 
 
-class MultiplicityTable:
+class MultiplicityTable(Record):
     """Eventual multiplicity of every partition up to the generator bound.
 
     ``counts`` holds one entry (zeros included) for each partition of
-    size at most ``max_generator_degree``, in table order; partitions
-    beyond that bound have multiplicity 0 implicitly.  Immutable and
-    compared by its fields; as ``counts`` is a dict, it is not hashable.
+    size at most ``max_generator_degree``, in table order (by size, then
+    descending lex), which is the order iteration yields its (shape,
+    count) pairs in; partitions beyond that bound have multiplicity 0
+    implicitly.  As ``counts`` is a dict, a table is not hashable.
     """
 
     __slots__ = ("counts", "max_generator_degree", "max_relation_degree")
-
-    def __init__(
-        self,
-        counts: dict[Partition, int],
-        max_generator_degree: int,
-        max_relation_degree: int,
-    ):
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "max_generator_degree", max_generator_degree)
-        object.__setattr__(self, "max_relation_degree", max_relation_degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiplicityTable is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("MultiplicityTable is immutable")
-
-    def _fields(self) -> tuple:
-        return (self.counts, self.max_generator_degree, self.max_relation_degree)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"MultiplicityTable(counts={self.counts!r}, "
-            f"max_generator_degree={self.max_generator_degree!r}, "
-            f"max_relation_degree={self.max_relation_degree!r})"
-        )
 
     def __getitem__(self, lam: Partition) -> int:
         lam = check_partition(lam)
         if sum(lam) > self.max_generator_degree:
             return 0
         return self.counts[lam]
-
-    def shapes(self) -> list[Partition]:
-        """Partitions in table order: by size, then descending lex."""
-        return list(self.counts)
 
     def __iter__(self):
         return iter(self.counts.items())
@@ -127,38 +91,13 @@ def onset_bound(z: PresentationMatrix) -> int:
     return g + max(g, z.max_relation_degree)
 
 
-class DimensionPolynomial:
+class DimensionPolynomial(Record):
     """Exact polynomial giving dim M[n] for every degree n >= onset.
 
     ``coeffs`` are Fractions, ascending degree, no trailing zeros.
-    Immutable, compared and hashed by its coefficients and onset.
     """
 
     __slots__ = ("coeffs", "onset")
-
-    def __init__(self, coeffs: tuple[Fraction, ...], onset: int):
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "onset", onset)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DimensionPolynomial is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("DimensionPolynomial is immutable")
-
-    def _fields(self) -> tuple:
-        return (self.coeffs, self.onset)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return f"DimensionPolynomial(coeffs={self.coeffs!r}, onset={self.onset!r})"
 
     @property
     def degree(self) -> int:

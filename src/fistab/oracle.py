@@ -79,6 +79,7 @@ from .combinatorics import (
 from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_bound
 from .presentation import PresentationMatrix
 from .ratmat import Echelon
+from .record import Record
 
 
 class DegreeEvaluation:
@@ -481,108 +482,29 @@ def decompose_at(z: PresentationMatrix, n: int) -> dict[Partition, int]:
 # cross-checking the closed form
 # ---------------------------------------------------------------------------
 
-class ShapeCheck:
-    """One degree-n irreducible compared against its predicted count.
-
-    Immutable, compared and hashed by its four fields.
-    """
+class ShapeCheck(Record):
+    """One degree-n irreducible compared against its predicted count."""
 
     __slots__ = ("shape", "tail", "predicted", "observed")
-
-    def __init__(
-        self, shape: Partition, tail: Partition, predicted: int, observed: int
-    ):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "predicted", predicted)
-        object.__setattr__(self, "observed", observed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShapeCheck is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ShapeCheck is immutable")
-
-    def _fields(self) -> tuple:
-        return (self.shape, self.tail, self.predicted, self.observed)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"ShapeCheck(shape={self.shape!r}, tail={self.tail!r}, "
-            f"predicted={self.predicted!r}, observed={self.observed!r})"
-        )
 
     @property
     def ok(self) -> bool:
         return self.predicted == self.observed
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of comparing one brute-forced degree with the closed form.
 
     ``pre_stable`` marks degrees below the onset bound, where mismatches
     carry no information; ``passed`` is only meaningful otherwise.
     ``invisible`` lists shapes whose predicted count cannot be seen at
-    this degree because their top row would be too short.  Immutable,
-    compared and hashed by its six fields.
+    this degree because their top row would be too short.
     """
 
     __slots__ = (
         "n", "onset", "checks", "invisible",
         "oracle_dimension", "polynomial_dimension",
     )
-
-    def __init__(
-        self,
-        n: int,
-        onset: int,
-        checks: tuple[ShapeCheck, ...],
-        invisible: tuple[tuple[Partition, int], ...],
-        oracle_dimension: int,
-        polynomial_dimension: int,
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "onset", onset)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "invisible", invisible)
-        object.__setattr__(self, "oracle_dimension", oracle_dimension)
-        object.__setattr__(self, "polynomial_dimension", polynomial_dimension)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VerificationReport is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("VerificationReport is immutable")
-
-    def _fields(self) -> tuple:
-        return (
-            self.n, self.onset, self.checks, self.invisible,
-            self.oracle_dimension, self.polynomial_dimension,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"VerificationReport(n={self.n!r}, onset={self.onset!r}, "
-            f"checks={self.checks!r}, invisible={self.invisible!r}, "
-            f"oracle_dimension={self.oracle_dimension!r}, "
-            f"polynomial_dimension={self.polynomial_dimension!r})"
-        )
 
     @property
     def pre_stable(self) -> bool:

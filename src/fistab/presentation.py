@@ -40,15 +40,17 @@ from .combinatorics import (
     sorting_permutation,
 )
 from .ratmat import RationalMatrix
+from .record import Record
 from .specht import specht_action, specht_rows
 
 
-class FormalSum:
+class FormalSum(Record):
     """A finite rational linear combination of injections [x] -> [y].
 
     ``terms`` maps injection tuples to nonzero Fraction coefficients;
     zero coefficients are dropped on construction, so equality of sums is
-    equality of (source, target, terms).
+    equality of (source, target, terms).  The hash is taken over the
+    sorted terms, as ``terms`` is a dict.
     """
 
     __slots__ = ("source", "target", "terms")
@@ -78,35 +80,9 @@ class FormalSum:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalSum is immutable")
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def scale(self, alpha) -> "FormalSum":
-        alpha = Fraction(alpha)
-        return FormalSum(
-            self.source, self.target,
-            {f: alpha * c for f, c in self.terms.items()},
-        )
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("cannot add formal sums of different arities")
-        return FormalSum(
-            self.source, self.target,
-            list(self.terms.items()) + list(other.terms.items()),
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FormalSum)
-            and self.source == other.source
-            and self.target == other.target
-            and self.terms == other.terms
-        )
 
     def __hash__(self):
         return hash((self.source, self.target, tuple(sorted(self.terms.items()))))
@@ -116,12 +92,13 @@ class FormalSum:
         return f"FormalSum([{self.source}]->[{self.target}]: {body or '0'})"
 
 
-class PresentationMatrix:
+class PresentationMatrix(Record):
     """Generator degrees, relation degrees, and a sparse grid of FormalSums.
 
     ``entries`` maps 0-indexed (generator, relation) pairs to FormalSums;
     absent or zero entries mean the zero combination.  Either list of
-    degrees may be empty.
+    degrees may be empty.  The hash is taken over the sorted entries, as
+    ``entries`` is a dict.
     """
 
     __slots__ = ("generator_degrees", "relation_degrees", "entries")
@@ -148,9 +125,6 @@ class PresentationMatrix:
         object.__setattr__(self, "relation_degrees", relation_degrees)
         object.__setattr__(self, "entries", cleaned)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PresentationMatrix is immutable")
-
     @property
     def num_generators(self) -> int:
         return len(self.generator_degrees)
@@ -170,14 +144,6 @@ class PresentationMatrix:
     def entry(self, i: int, j: int) -> FormalSum:
         zero = FormalSum(self.generator_degrees[i], self.relation_degrees[j])
         return self.entries.get((i, j), zero)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PresentationMatrix)
-            and self.generator_degrees == other.generator_degrees
-            and self.relation_degrees == other.relation_degrees
-            and self.entries == other.entries
-        )
 
     def __hash__(self):
         return hash((

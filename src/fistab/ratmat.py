@@ -39,6 +39,8 @@ Matrices are immutable values; every operation returns a fresh matrix.
 from fractions import Fraction
 from math import gcd, lcm
 
+from .record import Record
+
 
 def _norm(v):
     """Collapse integral Fractions to int; reject non-rational entries."""
@@ -144,7 +146,7 @@ class Echelon:
         return len(self.rows)
 
 
-class RationalMatrix:
+class RationalMatrix(Record):
     """An immutable nrows x ncols matrix over the rationals.
 
     ``rows[i]`` holds the nonzero entries of row i: a tuple of
@@ -164,9 +166,6 @@ class RationalMatrix:
         object.__setattr__(self, "nrows", len(rows))
         object.__setattr__(self, "ncols", ncols)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
     def __getitem__(self, key):
         i, j = key
         if not 0 <= i < self.nrows:
@@ -174,16 +173,6 @@ class RationalMatrix:
         if not 0 <= j < self.ncols:
             raise IndexError(f"column {j} outside range({self.ncols})")
         return dict(self.rows[i]).get(j, 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalMatrix)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.ncols, self.rows))
 
     def __repr__(self):
         return f"RationalMatrix({self.nrows}x{self.ncols})"

@@ -213,6 +213,18 @@ def fixed_tabloid_count(mu, sigma) -> int:
     return count(tuple(mu), set(range(1, len(sigma) + 1)))
 
 
+def combine(*scaled) -> FormalSum:
+    """The formal sum c_1 s_1 + c_2 s_2 + ... of (c, s) pairs, all of one
+    source and target."""
+    arities = {(s.source, s.target) for _, s in scaled}
+    if len(arities) != 1:
+        raise ValueError(f"cannot combine formal sums of arities {arities}")
+    (source, target), = arities
+    return FormalSum(source, target, [
+        (f, Fraction(c) * v) for c, s in scaled for f, v in s.terms.items()
+    ])
+
+
 def induced_raw_sum(lam, s: FormalSum) -> RationalMatrix:
     """The transported matrix of one formal sum [x] -> [y] for shape lam."""
     return induced_raw_presentation(

@@ -28,6 +28,7 @@ from fistab.specht import specht_action, specht_raw
 
 from conftest import (
     beta_set_character,
+    combine,
     dense,
     dense_rows,
     free_module,
@@ -62,13 +63,14 @@ class TestFormalSum:
         with pytest.raises(ValueError):
             FormalSum(2, 3, {(2, 2): 1})
 
-    def test_scale_and_add(self):
-        s = FormalSum(1, 2, {(1,): 1, (2,): 2})
-        t = FormalSum(1, 2, {(1,): -1})
-        assert (s + t).terms == {(2,): 2}
-        assert s.scale(Fraction(1, 2)).terms == {(1,): Fraction(1, 2), (2,): 1}
-        with pytest.raises(ValueError):
-            s + FormalSum(1, 3, {(1,): 1})
+    def test_merges_repeats_and_drops_zeros(self):
+        s = FormalSum(1, 2, [((1,), 1), ((2,), 2), ((1,), Fraction(-1))])
+        assert s.terms == {(2,): 2}
+        assert s == FormalSum(1, 2, {(2,): 2})
+        half = Fraction(1, 2)
+        cancelled = FormalSum(2, 3, [((1, 3), half), ((1, 3), -half)])
+        assert cancelled.is_zero
+        assert cancelled == FormalSum(2, 3)
 
     def test_equality(self):
         assert FormalSum(1, 2, {(1,): 1}) == FormalSum(1, 2, [((1,), 1)])
@@ -193,7 +195,7 @@ class TestTransportOfSums:
 
             s, t = rand_sum(), rand_sum()
             a, b = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2), 2)
-            combined = induced_raw_sum(lam, s.scale(a) + t.scale(b))
+            combined = induced_raw_sum(lam, combine((a, s), (b, t)))
             ms, mt = induced_raw_sum(lam, s), induced_raw_sum(lam, t)
             split = dense(
                 [[a * u + b * v for u, v in zip(rs, rt)]

@@ -1,16 +1,25 @@
-"""The value classes behave as the dataclasses they replaced, and the CLI
-imports no module it does not use.
+"""The value classes behave as the dataclasses they replaced, stay
+immutable, and the CLI imports no module it does not use.
 
-Each class is compared with a test-local ``dataclasses`` reference of
-the same name and fields: repr, equality, hash and, for the frozen ones,
-refusal to be changed.
+``MultiplicityTable``, ``DimensionPolynomial``, ``ShapeCheck`` and
+``VerificationReport`` get construction, equality, hash, repr and
+immutability from ``fistab.record.Record``; ``DegreeEvaluation`` writes
+its own.  Each is compared with a test-local ``dataclasses`` reference
+of the same name and fields: repr, equality, hash, construction and the
+``TypeError`` of a bad call and, for the frozen ones, refusal to be
+changed.  ``FormalSum``, ``PresentationMatrix`` and ``RationalMatrix``
+validate their own arguments and take immutability from the base too,
+which is the only module that defines ``__setattr__`` or
+``__delattr__``.
 """
 
+import ast
 import itertools
 import os
 import subprocess
 import sys
 from dataclasses import field, make_dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +37,8 @@ from fistab.oracle import (
     evaluate_degree,
     verify,
 )
-from fistab.presentation import PresentationMatrix
+from fistab.presentation import FormalSum, PresentationMatrix
+from fistab.ratmat import RationalMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,6 +132,23 @@ class TestAsDataclass:
         for args in samples[cls]:
             assert hash_or_error(cls(*args)) == hash_or_error(ref(*args))
 
+    def test_bad_calls_raise_type_error(self, cls, samples):
+        ref = reference(cls)
+        args = samples[cls][0]
+        first = FIELDS[cls][0]
+        rest = dict(zip(FIELDS[cls][1:], args[1:]))
+        calls = [
+            (args[:-1], {}),  # a field missing
+            ((), rest),  # the first field missing
+            (args, {"extra": None}),  # an unknown keyword
+            (args, {first: args[0]}),  # a field given twice
+            (args + (None,), {}),  # too many positional arguments
+        ]
+        for positional, keywords in calls:
+            for make in (ref, cls):
+                with pytest.raises(TypeError):
+                    make(*positional, **keywords)
+
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda c: c.__name__)
 def test_frozen_classes_refuse_changes(cls, samples):
@@ -135,6 +162,45 @@ def test_frozen_classes_refuse_changes(cls, samples):
     with pytest.raises(AttributeError):
         obj.extra = None
     assert obj == cls(*args)
+
+
+VALIDATING = {
+    "FormalSum": lambda: FormalSum(1, 2, {(1,): 1, (2,): Fraction(1, 2)}),
+    "PresentationMatrix": lambda: PresentationMatrix(
+        (1,), (2,), {(0, 0): FormalSum(1, 2, {(2,): 3})}
+    ),
+    "RationalMatrix": lambda: RationalMatrix([{0: 1}, {1: Fraction(2, 3)}], 2),
+}
+
+
+@pytest.mark.parametrize("make", VALIDATING.values(), ids=list(VALIDATING))
+def test_validating_classes_refuse_changes(make):
+    obj = make()
+    for name in obj.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.extra = None
+    assert obj == make()
+    assert hash(obj) == hash(make())
+
+
+def test_only_the_record_base_defines_setattr_or_delattr():
+    guarded = {"__setattr__", "__delattr__"}
+    definers = set()
+    for path in sorted((ROOT / "src" / "fistab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {node.name}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = {node.id}
+            else:
+                continue
+            if names & guarded:
+                definers.add(path.name)
+    assert definers == {"record.py"}
 
 
 def test_cli_imports_no_introspection_module():
