@@ -12,12 +12,21 @@ irreducible character.  Agreement with the closed form is checked by
 The echelon is :class:`fistab.ratmat.Echelon`, the engine behind every
 rank in the package.  Each relation column is scaled once by the lcm of
 its coefficient denominators, which keeps the span, so every relation
-row is a sparse dict of ints.  Each term g becomes an itemgetter that
-takes an injection h to h o g, built once per column.  A row equal, up
-to a nonzero scalar, to an earlier one is dependent and is dropped; the
-key is its sorted items over their content, first value positive, in
-one flat tuple.  Rows repeat when a permutation fixes a relation: on E
-at n = 10 only 1,260 of the 5,040 rows are kept.  The kept rows arrive
+row is a sparse dict of ints.  The row of an injection h = a o pi in
+Inj(y, n), a monotone and pi a permutation of [y], is the row of pi at
+degree y with each coordinate (i, u) moved to (i, a o u); that relabelling
+is injective and keeps the flat order of coordinates.  So each relation
+column is first evaluated at its own degree, on every pi, and each
+distinct row, made primitive (content 1, first value positive), is kept
+as a pattern with the first pi that gave it.  Then, for each monotone a,
+the flat index of a o u is found once per coordinate, and every pattern
+gives its row by list lookups, already sorted and primitive.  A row
+equal to an earlier one is dependent and is dropped.  A column's rows
+are taken in the order of h, so the kept rows and their order are those
+of one row per injection.  Rows repeat when a permutation fixes a
+relation: on E at n = 10 its 6 patterns give 1,260 rows, where one row
+per injection would build 5,040 and keep the same 1,260; on the triangle
+at n = 16, 2 patterns give 1,120 rows of 3,360.  The kept rows arrive
 with their leading columns mostly rising, so they are fed to the echelon
 last first.  A new pivot then almost always lies left of every kept
 pivot, and no kept row has an entry there to clear: on E at n = 10 the
@@ -74,6 +83,7 @@ from .combinatorics import (
     hook_length_count,
     horizontal_strip_removals,
     inverse,
+    monotone_injections,
     partitions,
 )
 from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_bound
@@ -391,6 +401,41 @@ def _precomposer(g):
     return itemgetter(slice(g[0] - 1, g[0]) if g else slice(0))
 
 
+def _patterns(column, y: int) -> tuple[list, list]:
+    """The distinct rows of one relation column at its own degree y.
+
+    The column lists (generator, terms) pairs, each term a precomposer
+    and an int coefficient.  Each permutation pi of [y] gives the row
+    with value c at the coordinate (i, pi o g) for each term g of
+    coefficient c in generator i's entry.  Each nonzero row is made
+    primitive, content 1 and first value positive, and is kept with the
+    first pi that gave it.  Returns the coordinates that the kept rows
+    use, in flat order, and one (pi's precomposer, places of the row's
+    coordinates in that list, values) triple per kept row, in the order
+    of pi.
+    """
+    first: dict[tuple, tuple[int, ...]] = {}
+    for pi in all_injections(y, y):
+        row: dict[tuple, int] = {}
+        for i, terms in column:
+            for precompose, coeff in terms:
+                key = (i, precompose(pi))
+                row[key] = row.get(key, 0) + coeff
+        items = sorted((k, v) for k, v in row.items() if v)
+        if not items:
+            continue
+        c = gcd(*(v for _, v in items))
+        if items[0][1] < 0:
+            c = -c
+        first.setdefault(tuple((k, v // c) for k, v in items), pi)
+    coordinates = sorted({k for items in first for k, _ in items})
+    place = {k: p for p, k in enumerate(coordinates)}
+    return coordinates, [
+        (_precomposer(pi), [place[k] for k, _ in items], tuple(v for _, v in items))
+        for items, pi in first.items()
+    ]
+
+
 @lru_cache(maxsize=16)
 def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     offsets = []
@@ -404,42 +449,45 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
         index.append({f: a for a, f in enumerate(block)})
         total += len(block)
 
-    kept: dict[tuple, list[tuple[int, int]]] = {}
+    # each kept row, as its columns and its values, in the order of the
+    # first injection that gave it
+    kept: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
     for j, y in enumerate(z.relation_degrees):
         column = [
             (i, z.entries[(i, j)].terms)
             for i in range(z.num_generators)
             if (i, j) in z.entries
         ]
-        if not column:
+        if not column or y > n:
             continue
         # Scaling a relation column by the lcm of its denominators keeps
         # the span, and every row it gives is then a row of ints.
         scale = lcm(*(c.denominator for _, terms in column for c in terms.values()))
-        column = [
-            (offsets[i], index[i],
-             [(_precomposer(g), int(c * scale)) for g, c in terms.items()])
+        coordinates, patterns = _patterns([
+            (i, [(_precomposer(g), int(c * scale)) for g, c in terms.items()])
             for i, terms in column
+        ], y)
+        coordinates = [
+            (offsets[i], index[i], _precomposer(u)) for i, u in coordinates
         ]
-        for h in all_injections(y, n):
-            row: dict[int, int] = {}
-            for offset, positions, terms in column:
-                for precompose, coeff in terms:
-                    flat = offset + positions[precompose(h)]
-                    row[flat] = row.get(flat, 0) + coeff
-            items = sorted((k, v) for k, v in row.items() if v)
-            if not items:
-                continue
-            # a row equal to an earlier one up to a scalar is dependent
-            c = gcd(*(v for _, v in items))
-            if items[0][1] < 0:
-                c = -c
-            kept.setdefault(tuple(x for k, v in items for x in (k, v // c)), items)
+        rows = []
+        for a in monotone_injections(y, n):
+            flat = [
+                offset + positions[lift(a)] for offset, positions, lift in coordinates
+            ]
+            for lift, places, values in patterns:
+                rows.append((lift(a), tuple(map(flat.__getitem__, places)), values))
+        # in the order of h = a o pi, as one row per injection would come,
+        # a row equal to an earlier one up to a scalar is dependent; the
+        # rows are primitive, so that means equal
+        rows.sort()
+        for _, columns, values in rows:
+            kept.setdefault((columns, values))
     # last row first: a new pivot then almost always lies left of every
     # kept pivot, where no kept row has an entry to clear
     basis = Echelon()
-    for items in reversed(kept.values()):
-        basis.add_row(dict(items))
+    for columns, values in reversed(kept):
+        basis.add_row(dict(zip(columns, values)))
     return DegreeEvaluation(
         n=n,
         ambient_dim=total,

@@ -5,8 +5,18 @@ what a frozen dataclass would give it: construction by position or by
 keyword, refusal of every later change, equality with an instance of
 the same class and equal fields, a hash of the field tuple, and the
 ``Name(field=value, ...)`` repr.  A subclass with a validating
-constructor sets its fields with ``object.__setattr__``.
+constructor sets its fields with ``object.__setattr__``.  ``copy``,
+``deepcopy`` and ``pickle`` restore the fields the same way, without
+calling the subclass's constructor.
 """
+
+
+def _restore(cls, values):
+    """An instance of cls with its fields set to values, in slot order."""
+    obj = object.__new__(cls)
+    for key, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, key, value)
+    return obj
 
 
 class Record:
@@ -52,6 +62,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._values())
+
+    def __reduce__(self):
+        return _restore, (type(self), self._values())
 
     def __repr__(self):
         body = ", ".join(f"{key}={getattr(self, key)!r}" for key in self.__slots__)

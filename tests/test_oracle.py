@@ -3,7 +3,7 @@ import random
 import sys
 from bisect import bisect_right
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +345,150 @@ class TestFeedOrder:
                 precompose = _precomposer(g)
                 for h in all_injections(4, 5):
                     assert precompose(h) == compose(h, g)
+
+
+def all_injection_feed(z: PresentationMatrix, n: int) -> list[dict[int, int]]:
+    """The rows the oracle fed its echelon when it built one relation row
+    per injection h in Inj(y, n), in lexicographic order, dropping a row
+    equal up to a scalar to an earlier one and feeding the kept rows last
+    first.  Each kept row is the first h's, as built."""
+    offsets, index, total = [], [], 0
+    for x in z.generator_degrees:
+        block = all_injections(x, n)
+        offsets.append(total)
+        index.append({f: a for a, f in enumerate(block)})
+        total += len(block)
+    kept = {}
+    for j, y in enumerate(z.relation_degrees):
+        column = [
+            (i, z.entries[(i, j)].terms)
+            for i in range(z.num_generators)
+            if (i, j) in z.entries
+        ]
+        if not column:
+            continue
+        scale = lcm(*(c.denominator for _, terms in column for c in terms.values()))
+        for h in all_injections(y, n):
+            row = {}
+            for i, terms in column:
+                for g, c in terms.items():
+                    flat = offsets[i] + index[i][compose(h, g)]
+                    row[flat] = row.get(flat, 0) + int(c * scale)
+            items = sorted((k, v) for k, v in row.items() if v)
+            if not items:
+                continue
+            c = gcd(*(v for _, v in items))
+            if items[0][1] < 0:
+                c = -c
+            kept.setdefault(tuple((k, v // c) for k, v in items), items)
+    return [dict(items) for items in reversed(kept.values())]
+
+
+def primitive(row: dict[int, int]) -> dict[int, int]:
+    """row over its content, its first value positive."""
+    c = gcd(*row.values())
+    if row[min(row)] < 0:
+        c = -c
+    return {k: v // c for k, v in row.items()}
+
+
+def fed_rows(monkeypatch, z: PresentationMatrix, n: int):
+    """A fresh evaluation of z at n and the rows fed to its echelon."""
+    calls = []
+    add_row = Echelon.add_row
+
+    def recording_add_row(self, row):
+        calls.append(dict(row))
+        return add_row(self, row)
+
+    monkeypatch.setattr(Echelon, "add_row", recording_add_row)
+    evaluate_degree.cache_clear()
+    ev = evaluate_degree(z, n)
+    monkeypatch.setattr(Echelon, "add_row", add_row)
+    evaluate_degree.cache_clear()
+    return ev, calls
+
+
+def _feed_cases():
+    kinds = ["random", "low relation", "rational", "no relations", "several"]
+    return [
+        (drawn_presentation(kind, random.Random(seed)), n)
+        for kind in kinds
+        for seed in range(3)
+        for n in range(8)
+    ]
+
+
+# A relation of degree 0 on a generator of degree 0, next to one of
+# degree 2 on a generator of degree 1.
+DEGREE_ZERO = PresentationMatrix((0, 1), (0, 2), {
+    (0, 0): FormalSum(0, 0, {(): 2}),
+    (1, 1): FormalSum(1, 2, {(1,): 1, (2,): -3}),
+    (0, 1): FormalSum(0, 2, {(): 1}),
+})
+
+# The second relation's entry is zero (its terms cancel), so the column
+# is empty, and the third relation has no entry at all.
+ZERO_ENTRIES = PresentationMatrix((1, 2), (2, 3, 3), {
+    (0, 0): FormalSum(1, 2, {(1,): 1, (2,): 1}),
+    (1, 1): FormalSum(2, 3, [((1, 2), 1), ((1, 2), -1)]),
+    (1, 0): FormalSum(2, 2, {(2, 1): -2}),
+})
+
+
+class TestEchelonFeed:
+    """The echelon gets the same rows in the same order as when a row was
+    built for every injection, each in its primitive form, so the basis,
+    the traces and every output are unchanged."""
+
+    @pytest.mark.parametrize(
+        "z,n",
+        _feed_cases()
+        + [(DEGREE_ZERO, n) for n in range(6)]
+        + [(ZERO_ENTRIES, n) for n in range(6)],
+    )
+    def test_same_rows_in_the_same_order(self, monkeypatch, z, n):
+        try:
+            ev, fed = fed_rows(monkeypatch, z, n)
+        except ResourceCapError:
+            return
+        reference = all_injection_feed(z, n)
+        assert fed == [primitive(row) for row in reference]
+        basis = Echelon()
+        for row in reference:
+            basis.add_row(row)
+        assert ev == DegreeEvaluation(
+            n, ev.ambient_dim, basis.rank, z,
+            ev._offsets, ev._injections, ev._index, basis,
+        )
+
+    def test_relation_above_the_degree_builds_nothing(self, monkeypatch):
+        # a relation of degree 6 at n = 4 gives no row and enumerates no
+        # permutation of [6]; the degree-2 relation enumerates S_2 once
+        z = PresentationMatrix((1,), (2, 6), {
+            (0, 0): FormalSum(1, 2, {(1,): 1, (2,): 1}),
+            (0, 1): FormalSum(1, 6, {(6,): 1}),
+        })
+        calls = []
+        enumerate_injections = oracle.all_injections
+        monkeypatch.setattr(
+            oracle, "all_injections",
+            lambda k, n: calls.append((k, n)) or enumerate_injections(k, n),
+        )
+        ev, fed = fed_rows(monkeypatch, z, 4)
+        assert sorted(calls) == [(1, 4), (2, 2)]
+        assert fed == [primitive(row) for row in all_injection_feed(z, 4)]
+        assert len(fed) == 6 and ev.rank == 4
+
+    def test_fresh_evaluations_are_equal(self, e_presentation):
+        evaluate_degree.cache_clear()
+        first = evaluate_degree(e_presentation, 6)
+        evaluate_degree.cache_clear()
+        second = evaluate_degree(e_presentation, 6)
+        assert first is not second and first._basis is not second._basis
+        assert first == second
+        assert evaluate_degree(e_presentation, 5) != second
+        evaluate_degree.cache_clear()
 
 
 class TestDimension:

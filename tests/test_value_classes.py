@@ -10,11 +10,15 @@ of the same name and fields: repr, equality, hash, construction and the
 changed.  ``FormalSum``, ``PresentationMatrix`` and ``RationalMatrix``
 validate their own arguments and take immutability from the base too,
 which is the only module that defines ``__setattr__`` or
-``__delattr__``.
+``__delattr__``.  All seven ``Record`` classes survive ``copy``,
+``deepcopy`` and a ``pickle`` round trip, and ``import fistab.cli``
+loads neither ``copy`` nor ``pickle``.
 """
 
 import ast
+import copy
 import itertools
+import pickle
 import os
 import subprocess
 import sys
@@ -187,6 +191,36 @@ def test_validating_classes_refuse_changes(make):
     assert hash(obj) == hash(make())
 
 
+RECORDS = {
+    "MultiplicityTable": lambda e: eventual_multiplicities(e),
+    "DimensionPolynomial": lambda e: DimensionPolynomial((1,), 0),
+    "ShapeCheck": lambda e: verify(e).checks[1],
+    "VerificationReport": lambda e: verify(e),
+    **{name: lambda e, make=make: make() for name, make in VALIDATING.items()},
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=list(RECORDS))
+@pytest.mark.parametrize("duplicate", [
+    copy.copy,
+    copy.deepcopy,
+    lambda obj: pickle.loads(pickle.dumps(obj)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_records_copy_and_pickle(make, duplicate, e_presentation):
+    # the fields are restored without the subclass's constructor, whose
+    # arguments need not be its fields (RationalMatrix takes rows and
+    # ncols), and the copy is as immutable as the original
+    obj = make(e_presentation)
+    twin = duplicate(obj)
+    assert type(twin) is type(obj) and twin == obj and repr(twin) == repr(obj)
+    for name in obj.__slots__:
+        assert getattr(twin, name) == getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(twin, name, None)
+    if duplicate is copy.copy:
+        assert all(getattr(twin, name) is getattr(obj, name) for name in obj.__slots__)
+
+
 def test_only_the_record_base_defines_setattr_or_delattr():
     guarded = {"__setattr__", "__delattr__"}
     definers = set()
@@ -205,7 +239,7 @@ def test_only_the_record_base_defines_setattr_or_delattr():
 
 def test_cli_imports_no_introspection_module():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "pickle")
     script = (
         "import sys, fistab.cli; "
         f"print(' '.join(m for m in {heavy!r} if m in sys.modules))"
