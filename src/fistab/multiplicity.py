@@ -6,9 +6,17 @@ decomposition of a finitely presented FI-module stops changing except
 for the growing top rows, and its dimension follows an exact
 polynomial.  Both are read off from coranks of
 the transported presentation matrices, one per partition up to the
-largest generator degree.  Every shape's matrix is sized before the
+largest generator degree.  Every shape's matrix of z is sized before the
 first one is built, and a shape over the cell budget of
 :func:`fistab.budget.check_cells` refuses the whole table.
+
+The matrices actually built are smaller.  For each size k the unit
+pivots of z's size-k presentation are eliminated once, over the group
+algebra Q[S_k], before any Specht block exists, and each shape of size k
+takes its corank on the core that is left.  The elimination is a block
+row operation on every shape's matrix at once, valid because the
+Specht action reverses products (see :mod:`fistab.presentation`), so
+every corank is unchanged; the budget still sizes the matrix of z.
 """
 
 from fractions import Fraction
@@ -16,7 +24,11 @@ from math import comb, factorial, lcm
 
 from .budget import check_cells
 from .combinatorics import Partition, check_partition, hook_length_count, partitions
-from .presentation import PresentationMatrix, induced_raw_presentation
+from .presentation import (
+    PresentationMatrix,
+    _reduced_presentation,
+    induced_raw_presentation,
+)
 from .record import Record
 
 
@@ -59,14 +71,20 @@ def check_transport_size(z: PresentationMatrix, lam: Partition) -> None:
 def eventual_multiplicities(z: PresentationMatrix) -> MultiplicityTable:
     """Corank of the transported presentation, for every relevant shape.
 
-    Every shape is sized, smallest first, before the first is built.
+    Every shape is sized on z, smallest first, before the first matrix is
+    built.  Then each size k reduces z once to its core and each shape of
+    size k takes the corank of the core's transport, which equals that of
+    z's.
     """
-    shapes = []
-    for size in range(z.max_generator_degree + 1):
+    sizes = range(z.max_generator_degree + 1)
+    for size in sizes:
         for lam in partitions(size):
             check_transport_size(z, lam)
-            shapes.append(lam)
-    counts = {lam: induced_raw_presentation(lam, z).corank() for lam in shapes}
+    counts = {}
+    for size in sizes:
+        core = _reduced_presentation(z, size)
+        for lam in partitions(size):
+            counts[lam] = induced_raw_presentation(lam, core).corank()
     return MultiplicityTable(
         counts, z.max_generator_degree, z.max_relation_degree
     )

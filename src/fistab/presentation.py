@@ -24,10 +24,23 @@ coefficient into the sparse output rows.  The induced module of any
 symmetric-group representation (``induced_block_action``, and
 ``induced_action`` for specht_action) is built by the same routine from
 that representation's matrix rows, which are stored as the same pairs.
+
+Every shape of one size k shares one block pattern over the group
+algebra Q[S_k]: the shapes differ only in the Specht blocks put into it.
+So the closed form first rewrites z as its size-k presentation, every
+degree k and every entry a combination of permutations, and eliminates
+there the unit entries c * sigma, whose blocks are invertible for every
+shape (``_reduced_presentation``).  The elimination is a block row
+operation and keeps every corank, because specht_raw(lam, sigma) =
+U X(sigma) with U the raw matrix of the identity and X the action, which
+reverses products: the block (a U X(alpha)) (c U X(sigma))^-1
+(w U X(beta)) is the transport of (a w / c) * beta o sigma^-1 o alpha.
+Each shape of size k then transports only the small core that is left.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .combinatorics import (
     Partition,
@@ -35,12 +48,13 @@ from .combinatorics import (
     compose,
     hook_length_count,
     identity,
+    inverse,
     monotone_injections,
     monotone_part,
     sorting_permutation,
 )
 from .ratmat import RationalMatrix
-from .record import Record
+from .record import Record, _restore
 from .specht import specht_action, specht_rows
 
 
@@ -183,6 +197,16 @@ def _placements(f, target: int, k: int) -> tuple:
     return tuple(placements)
 
 
+def _size_k_offsets(degrees, k: int):
+    """Where each degree's monotone injections of size k start, and how
+    many there are in all."""
+    starts, total = [], 0
+    for d in degrees:
+        starts.append(total)
+        total += comb(d, k)
+    return starts, total
+
+
 def _transport(block, k: int, dim: int, row_degrees, col_degrees,
                entries) -> RationalMatrix:
     """The transported matrix of a grid of formal sums.
@@ -197,16 +221,11 @@ def _transport(block, k: int, dim: int, row_degrees, col_degrees,
     distinct block is built once, and only its nonzero entries are added
     into the output rows, each a dict from column to value.
     """
-    row_offsets = []
-    nrows = 0
-    for x in row_degrees:
-        row_offsets.append(nrows)
-        nrows += len(monotone_injections(k, x)) * dim
-    col_offsets = []
-    ncols = 0
-    for y in col_degrees:
-        col_offsets.append(ncols)
-        ncols += len(monotone_injections(k, y)) * dim
+    row_starts, row_blocks = _size_k_offsets(row_degrees, k)
+    col_starts, col_blocks = _size_k_offsets(col_degrees, k)
+    row_offsets = [start * dim for start in row_starts]
+    col_offsets = [start * dim for start in col_starts]
+    nrows, ncols = row_blocks * dim, col_blocks * dim
 
     out = [{} for _ in range(nrows)]
     block_rows = {}
@@ -244,6 +263,150 @@ def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalM
         lambda sigma: specht_rows(lam, sigma), k, dim,
         z.generator_degrees, z.relation_degrees,
         {pos: s.terms for pos, s in z.entries.items()},
+    )
+
+
+def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
+    """The size-k presentation of z, with its unit pivots eliminated.
+
+    The size-k presentation has every degree k: one generator per
+    (generator i, monotone p of size k into [x_i]) and one relation per
+    (relation j, monotone q of size k into [y_j]), in the block order of
+    the transported matrix.  Its entry is sum c_f * sigma over the
+    placements (sigma, q) of the terms f of z's entry at p, so its
+    transport for any shape of size k is the transport of z.
+
+    A unit entry c * sigma transports to c * specht_raw(lam, sigma) =
+    c * U X(sigma), U the raw matrix of the identity and X the action,
+    which is invertible for every shape.  Pivoting on it at (p, q) is a
+    block row operation: every other generator r with an entry a * alpha
+    at q takes away, at each q' where p has an entry w * beta, the block
+    (a U X(alpha)) (c U X(sigma))^-1 (w U X(beta)).  X reverses products
+    and U cancels, so that block is (a w / c) U X(beta o sigma^-1 o
+    alpha), the transport of (a w / c) * beta o sigma^-1 o alpha.  Column
+    q is then zero except at p, so dropping generator p and relation q
+    leaves every shape's corank unchanged.  The products w * a are summed
+    per permutation and divided by c once, so a coefficient stays an int
+    wherever it is integral.
+
+    Pivots go in Markowitz order, fewest (entries of the row - 1) *
+    (entries of the column - 1) first, ties by (generator, relation)
+    index; a heap holds one candidate for each unit entry of each row and
+    column whose count changed, and a popped candidate whose cost no
+    longer holds is skipped.  The first pivot that would take the number
+    of terms above the starting number ends the elimination.  What is
+    left, the core, is returned with generators and relations renumbered
+    in their order.
+    """
+    gen_starts, nrows = _size_k_offsets(z.generator_degrees, k)
+    rel_starts, ncols = _size_k_offsets(z.relation_degrees, k)
+    rows: list = [{} for _ in range(nrows)]
+    for (i, j), s in z.entries.items():
+        for f, coeff in s.terms.items():
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
+            for pi, (sigma, a) in enumerate(_placements(f, s.target, k)):
+                entry = rows[gen_starts[i] + pi].setdefault(rel_starts[j] + a, {})
+                entry[sigma] = entry.get(sigma, 0) + coeff
+    cols: list = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for q, entry in list(row.items()):
+            entry = {sigma: c for sigma, c in entry.items() if c}
+            if entry:
+                row[q] = entry
+                cols[q].add(r)
+            else:
+                del row[q]
+
+    # imported here, so that ``import fistab.cli`` loads no more modules
+    from heapq import heappop, heappush
+
+    heap: list = []
+
+    def push(r, q):
+        if len(rows[r][q]) == 1:
+            heappush(heap, ((len(rows[r]) - 1) * (len(cols[q]) - 1), r, q))
+
+    for r, row in enumerate(rows):
+        for q in row:
+            push(r, q)
+    terms = limit = sum(len(entry) for row in rows for entry in row.values())
+    while heap:
+        cost, p, q = heappop(heap)
+        row = rows[p]
+        if (row is None or len(row.get(q, ())) != 1
+                or cost != (len(row) - 1) * (len(cols[q]) - 1)):
+            continue
+        (sigma, c), = row[q].items()
+        back = inverse(sigma)
+        # each term w * beta of row p as w and the padded beta o sigma^-1
+        pivot_row = [
+            (q2, [(w, (0,) + compose(beta, back)) for beta, w in entry.items()])
+            for q2, entry in row.items() if q2 != q
+        ]
+        change = -sum(map(len, row.values()))
+        updates = []
+        for r in cols[q]:
+            if r == p:
+                continue
+            other = rows[r]
+            column_entry = other[q]
+            change -= len(column_entry)
+            updated = []
+            for q2, products in pivot_row:
+                # the sum of w * a * beta o sigma^-1 o alpha, divided by c
+                # once per permutation
+                sums = {}
+                for w, g in products:
+                    for alpha, a in column_entry.items():
+                        key = tuple(map(g.__getitem__, alpha))
+                        sums[key] = sums.get(key, 0) + w * a
+                old = other.get(q2, {})
+                new = dict(old)
+                for key, v in sums.items():
+                    new[key] = new.get(key, 0) - (
+                        v // c if v % c == 0 else Fraction(v, c)
+                    )
+                new = {tau: v for tau, v in new.items() if v}
+                change += len(new) - len(old)
+                updated.append((q2, new))
+            updates.append((r, updated))
+        if terms + change > limit:
+            break
+        terms += change
+        rows[p] = None
+        for q2 in row:
+            cols[q2].discard(p)
+        for r, updated in updates:
+            other = rows[r]
+            del other[q]
+            for q2, new in updated:
+                if new:
+                    other[q2] = new
+                    cols[q2].add(r)
+                elif q2 in other:
+                    del other[q2]
+                    cols[q2].discard(r)
+        cols[q] = None
+        for r, _ in updates:
+            for q2 in rows[r]:
+                push(r, q2)
+        for q2, _ in pivot_row:
+            for r in cols[q2]:
+                push(r, q2)
+
+    kept_rows = [row for row in rows if row is not None]
+    renumber = {}
+    for q, col in enumerate(cols):
+        if col is not None:
+            renumber[q] = len(renumber)
+    # every term is a permutation of [k] with a nonzero coefficient, so
+    # the sums are made without the constructor's checks
+    return PresentationMatrix(
+        (k,) * len(kept_rows), (k,) * len(renumber),
+        {(r, renumber[q]): _restore(FormalSum, (k, k, {
+            sigma: Fraction(c) for sigma, c in entry.items()
+        })) for r, row in enumerate(kept_rows) for q, entry in row.items()},
     )
 
 

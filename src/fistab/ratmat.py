@@ -20,6 +20,12 @@ place, from the rows already kept.  The basis does not depend on the
 order the rows are fed in, but the cost does: a pivot left of every kept
 pivot has nothing to clear.  ``RationalMatrix.rank`` and the oracle get
 rows whose leading columns mostly rise, so they feed them last first.
+The closed form ranks the transports of the cores its elimination of
+unit pivots leaves; a corank is unchanged by that block row operation
+because the Specht action reverses products (see
+:mod:`fistab.presentation`).  Last first is still no slower there: on
+cyclic-9's cores it took 61 ms against 69 ms fed first first (2-core
+VM, Python 3.11).
 The oracle relies on the invariant to read the coordinate of an image
 vector on a basis row straight off that row's pivot; its traces are
 what the reduced basis is kept for.
@@ -53,6 +59,8 @@ def _norm(v):
 
 def _sparse_row(row) -> tuple:
     """The nonzero entries of a row, as sorted (column, value) pairs."""
+    if not row:
+        return ()
     items = row.items() if isinstance(row, dict) else dict(row).items()
     return tuple(sorted(
         (j, v if type(v) is int else _norm(v)) for j, v in items if v
@@ -232,10 +240,13 @@ class RationalMatrix(Record):
 
         Each row is scaled by the lcm of its denominators, which keeps the
         rank, and its nonzero entries go to an :class:`Echelon`, last row
-        first.
+        first.  An empty row, as every row of a free generator in a core
+        is, adds nothing and is not fed.
         """
         echelon = Echelon()
         for row in reversed(self.rows):
+            if not row:
+                continue
             entries = dict(row)
             if Fraction in set(map(type, entries.values())):
                 scale = lcm(*(v.denominator for v in entries.values()))

@@ -1,0 +1,179 @@
+"""The reduced presentation of each size keeps every shape's corank.
+
+``eventual_multiplicities`` transports, for each size k, the core that
+``presentation._reduced_presentation`` leaves: the size-k presentation of
+z with its unit pivots eliminated over Q[S_k].  The reference is the
+transport of z itself, whose corank is the multiplicity.  Coranks are
+blind to some wrong multipliers, so one pivot is also checked exactly:
+the core's transport must equal the Schur complement D - C B^-1 W of the
+pivot block B in the transport of the presentation, in Fractions.
+"""
+
+import os
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+
+from fistab.cli import main, parse_presentation
+from fistab.combinatorics import compose, identity, partitions
+import fistab.presentation as presentation
+from fistab.presentation import (
+    FormalSum,
+    PresentationMatrix,
+    induced_raw_presentation,
+)
+
+from conftest import (
+    dense,
+    dense_rows,
+    free_module,
+    random_low_relation_presentation,
+    random_presentation,
+    rational_inverse,
+    symmetric_group,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402
+
+
+def corank_mismatches(z: PresentationMatrix) -> list:
+    """The shapes whose corank on the core of their size differs from
+    their corank on z."""
+    wrong = []
+    for k in range(z.max_generator_degree + 1):
+        core = presentation._reduced_presentation(z, k)
+        for lam in partitions(k):
+            if (induced_raw_presentation(lam, core).corank()
+                    != induced_raw_presentation(lam, z).corank()):
+                wrong.append(lam)
+    return wrong
+
+
+NAMED = {
+    **{f"cyclic-{x}": parse_presentation(workloads.cyclic(x))
+       for x in range(3, 9)},
+    "alternating6": parse_presentation(workloads.inputs(0)["alternating6"]),
+    "rational2": parse_presentation(workloads.rational2(0)),
+    "M(3)": free_module(3),
+    "no relations": PresentationMatrix((2, 0, 3), ()),
+    "r < g": PresentationMatrix((3, 1), (2,), {
+        (1, 0): FormalSum(1, 2, {(1,): 1, (2,): Fraction(-1, 2)}),
+    }),
+    "several generators": PresentationMatrix((1, 1, 2), (2, 3), {
+        (0, 0): FormalSum(1, 2, {(1,): 1, (2,): 1}),
+        (1, 0): FormalSum(1, 2, {(2,): -1}),
+        (1, 1): FormalSum(1, 3, {(3,): 2}),
+        (2, 1): FormalSum(2, 3, {(1, 2): 1, (3, 1): -1, (2, 3): 1}),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED))
+def test_core_keeps_every_corank(name):
+    assert corank_mismatches(NAMED[name]) == []
+
+
+@pytest.mark.parametrize(
+    "draw", [random_presentation, random_low_relation_presentation]
+)
+def test_core_keeps_every_corank_on_the_random_corpora(draw):
+    rng = random.Random(18)
+    for _ in range(100):
+        z = draw(rng)
+        assert corank_mismatches(z) == [], z
+
+
+def test_cyclic10_table_matches_the_pinned_output(monkeypatch, capsys):
+    # pinned from the transport of the whole presentation, shape by shape
+    monkeypatch.setenv("FISTAB_ORACLE_CAP", "50000")
+    path = os.path.join(DATA, "cyclic10.fipres")
+    assert main(["multiplicities", path, "--json"]) == 0
+    with open(os.path.join(DATA, "cyclic10-multiplicities.json")) as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
+# ---------------------------------------------------------------------------
+# one pivot, exactly
+# ---------------------------------------------------------------------------
+
+UNITS = (1, -1, 2, Fraction(-3, 2))
+COEFFICIENTS = (1, -1, 2, -2, Fraction(1, 2))
+
+
+def one_pivot_presentation(rng: random.Random, k: int) -> PresentationMatrix:
+    """Four generators and three relations, all of degree k, whose only
+    pivot is c * sigma at (0, 0), sigma not an involution.
+
+    The units are (0, 0), (0, 1) and (1, 0), at Markowitz costs 2, 2 and
+    4, so (0, 0) goes first.  It adds one product to the three terms of
+    (1, 1), which leaves at least two, and fills (3, 1) with two, so no
+    unit is left, and the number of terms falls.
+    """
+    perms = symmetric_group(k)
+    sigma = rng.choice([p for p in perms if compose(p, p) != identity(k)])
+
+    def terms(count):
+        return FormalSum(k, k, {
+            p: rng.choice(COEFFICIENTS) for p in rng.sample(perms, count)
+        })
+
+    return PresentationMatrix((k,) * 4, (k,) * 3, {
+        (0, 0): FormalSum(k, k, {sigma: rng.choice(UNITS)}),
+        (0, 1): terms(1),
+        (1, 0): terms(1),
+        (1, 1): terms(3),
+        (1, 2): terms(2),
+        (2, 1): terms(2),
+        (2, 2): terms(2),
+        (3, 0): terms(2),
+    })
+
+
+def one_pivot_cases() -> list:
+    rng = random.Random(180)
+    return [one_pivot_presentation(rng, k) for k in (3, 4) for _ in range(20)]
+
+
+def schur_complement(m, dim: int) -> list:
+    """D - C B^-1 W for the leading dim x dim block B of m, dense."""
+    rows = dense_rows(m)
+    b = dense([row[:dim] for row in rows[:dim]])
+    w = dense([row[dim:] for row in rows[:dim]], m.ncols - dim)
+    c = dense([row[:dim] for row in rows[dim:]], dim)
+    d = dense([row[dim:] for row in rows[dim:]], m.ncols - dim)
+    correction = dense_rows(c * rational_inverse(b) * w)
+    return [
+        tuple(x - y for x, y in zip(row, fix))
+        for row, fix in zip(dense_rows(d), correction)
+    ]
+
+
+def one_step_failures(cases) -> list:
+    """The cases whose core is not one pivot smaller, or whose core
+    transport differs from the Schur complement for some shape."""
+    failures = []
+    for z in cases:
+        k = z.generator_degrees[0]
+        core = presentation._reduced_presentation(z, k)
+        if (core.num_generators, core.num_relations) != (3, 2):
+            failures.append(z)
+            continue
+        for lam in partitions(k):
+            full = induced_raw_presentation(lam, z)
+            dim = full.nrows // 4
+            got = [tuple(map(Fraction, row))
+                   for row in dense_rows(induced_raw_presentation(lam, core))]
+            if got != schur_complement(full, dim):
+                failures.append(z)
+                break
+    return failures
+
+
+def test_one_pivot_leaves_the_schur_complement():
+    assert one_step_failures(one_pivot_cases()) == []
