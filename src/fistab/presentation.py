@@ -17,20 +17,20 @@ permutation sorting the boxes (row of sigma(l) in u, column of l in t),
 l = 1..|lam|, into row-major order, and 0 when two boxes coincide (see
 fistab.specht).
 
-The transported matrix of a presentation is assembled in one pass.  Each
-distinct block is built once per matrix by specht_rows, straight as the
-(column, sign) pairs of its nonzero entries, and added times its
-coefficient into the sparse output rows.  The induced module of any
-symmetric-group representation (``induced_block_action``, and
-``induced_action`` for specht_action) is built by the same routine from
-that representation's matrix rows, which are stored as the same pairs.
+The transported matrix of a presentation is built in two steps.  The
+lift (``_lift``) rewrites z as its size-k presentation over Q[S_k],
+k = |lam|; it is the only code that places an injection.  The
+realisation (``_transport``) puts c times the block of sigma at (p, q)
+for each term c * sigma, each distinct Specht block built once by
+specht_rows as the (column, sign) pairs of its nonzero entries.
+``induced_block_action`` (and ``induced_action`` for specht_action)
+realises the lift of one injection with a representation's matrix rows,
+stored as the same pairs.
 
-Every shape of one size k shares one block pattern over the group
-algebra Q[S_k]: the shapes differ only in the Specht blocks put into it.
-So the closed form first rewrites z as its size-k presentation, every
-degree k and every entry a combination of permutations, and eliminates
-there the unit entries c * sigma, whose blocks are invertible for every
-shape (``_reduced_presentation``).  The elimination is a block row
+Every shape of one size k shares the one lift: the shapes differ only
+in the Specht blocks put into it.  So the closed form eliminates, once
+per size, the unit entries c * sigma, whose blocks are invertible for
+every shape (``_reduced_presentation``).  The elimination is a block row
 operation and keeps every corank, because specht_raw(lam, sigma) =
 U X(sigma) with U the raw matrix of the identity and X the action, which
 reverses products: the block (a U X(alpha)) (c U X(sigma))^-1
@@ -39,7 +39,6 @@ Each shape of size k then transports only the small core that is left.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .combinatorics import (
@@ -61,10 +60,11 @@ from .specht import specht_action, specht_rows
 class FormalSum(Record):
     """A finite rational linear combination of injections [x] -> [y].
 
-    ``terms`` maps injection tuples to nonzero Fraction coefficients;
-    zero coefficients are dropped on construction, so equality of sums is
-    equality of (source, target, terms).  The hash is taken over the
-    sorted terms, as ``terms`` is a dict.
+    ``terms`` maps injection tuples to nonzero Fraction coefficients, made
+    from exact inputs only (a float raises TypeError); zero coefficients
+    are dropped on construction, so equality of sums is equality of
+    (source, target, terms).  The hash is taken over the sorted terms, as
+    ``terms`` is a dict.
     """
 
     __slots__ = ("source", "target", "terms")
@@ -85,6 +85,11 @@ class FormalSum(Record):
             if any(not 1 <= v <= target for v in images):
                 raise ValueError(
                     f"injection {images} leaves the target range 1..{target}"
+                )
+            if isinstance(coeff, float):
+                raise TypeError(
+                    f"coefficient {coeff!r} of injection {images} is a float; "
+                    "use an int or a Fraction"
                 )
             coeff = Fraction(coeff)
             merged[images] = merged.get(images, Fraction(0)) + coeff
@@ -178,25 +183,6 @@ class PresentationMatrix(Record):
 # the transported matrices
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4096)
-def _placements(f, target: int, k: int) -> tuple:
-    """Where the injection f: [len(f)] -> [target] sends each monotone
-    injection p of [k] into its source.
-
-    One (sorting_permutation(f o p), a) pair per p, in the order of
-    monotone_injections(k, len(f)), a being the position of
-    monotone_part(f o p) in monotone_injections(k, target).  They depend
-    on f, its target and k, not on the shape, so they are made once and
-    every shape of size k reuses them.
-    """
-    column = {q: a for a, q in enumerate(monotone_injections(k, target))}
-    placements = []
-    for p in monotone_injections(k, len(f)):
-        fp = compose(f, p)
-        placements.append((sorting_permutation(fp), column[monotone_part(fp)]))
-    return tuple(placements)
-
-
 def _size_k_offsets(degrees, k: int):
     """Where each degree's monotone injections of size k start, and how
     many there are in all."""
@@ -207,44 +193,72 @@ def _size_k_offsets(degrees, k: int):
     return starts, total
 
 
-def _transport(block, k: int, dim: int, row_degrees, col_degrees,
-               entries) -> RationalMatrix:
-    """The transported matrix of a grid of formal sums.
+def _lift(z: PresentationMatrix, k: int):
+    """The size-k presentation of z: every degree k, every entry a
+    combination of permutations of [k].
 
-    ``block`` maps a permutation of [k] to the dim rows of a dim x dim
-    matrix, each the (column, value) pairs of its nonzero entries.  Block
-    row i has source degree ``row_degrees[i]``, block column j has target
-    degree ``col_degrees[j]``, and ``entries`` maps (i, j) to a dict from
-    injections to coefficients.  The term f with coefficient c adds c
-    times block(sorting_permutation(f o p)) at block row (i, p) and block
-    column (j, monotone_part(f o p)), read off ``_placements``.  Each
-    distinct block is built once, and only its nonzero entries are added
-    into the output rows, each a dict from column to value.
+    One generator per (generator i, monotone p of size k into [x_i]) and
+    one relation per (relation j, monotone q of size k into [y_j]), in
+    the order of the degrees and of monotone_injections.  The term c * f
+    of entry (i, j) puts c * sorting_permutation(f o p) at
+    (p, monotone_part(f o p)); an entry sums c_f * sigma over the terms
+    placed there.  Returns the generators, each a dict from relation to
+    entry, each entry a dict from permutation to nonzero coefficient (an
+    int where integral), and the number of relations.
     """
-    row_starts, row_blocks = _size_k_offsets(row_degrees, k)
-    col_starts, col_blocks = _size_k_offsets(col_degrees, k)
-    row_offsets = [start * dim for start in row_starts]
-    col_offsets = [start * dim for start in col_starts]
-    nrows, ncols = row_blocks * dim, col_blocks * dim
-
-    out = [{} for _ in range(nrows)]
-    block_rows = {}
-    for (i, j), terms in entries.items():
-        for f, coeff in terms.items():
+    gen_starts, nrows = _size_k_offsets(z.generator_degrees, k)
+    rel_starts, ncols = _size_k_offsets(z.relation_degrees, k)
+    sources = {x: monotone_injections(k, x) for x in set(z.generator_degrees)}
+    columns = {
+        y: {q: a for a, q in enumerate(monotone_injections(k, y))}
+        for y in set(z.relation_degrees)
+    }
+    rows: list = [{} for _ in range(nrows)]
+    for (i, j), s in z.entries.items():
+        column, start = columns[s.target], rel_starts[j]
+        for f, coeff in s.terms.items():
             if coeff.denominator == 1:
                 coeff = coeff.numerator
-            for pi, (sigma, a) in enumerate(_placements(f, col_degrees[j], k)):
-                pairs = block_rows.get(sigma)
+            for r, p in enumerate(sources[s.source], gen_starts[i]):
+                fp = compose(f, p)
+                entry = rows[r].setdefault(start + column[monotone_part(fp)], {})
+                sigma = sorting_permutation(fp)
+                entry[sigma] = entry.get(sigma, 0) + coeff
+    for row in rows:
+        for q, entry in list(row.items()):
+            entry = {sigma: c for sigma, c in entry.items() if c}
+            if entry:
+                row[q] = entry
+            else:
+                del row[q]
+    return rows, ncols
+
+
+def _transport(block, dim: int, rows, ncols: int) -> RationalMatrix:
+    """The matrix of a grid over Q[S_k] as ``_lift`` returns it: c times
+    block(sigma) at block (p, q) for each term c * sigma of entry (p, q).
+
+    ``block`` maps a permutation to the dim rows of a dim x dim matrix,
+    each the (column, value) pairs of its nonzero entries.  Each distinct
+    block is built once, and only its nonzero entries are added into the
+    output rows, each a dict from column to value.
+    """
+    out = []
+    blocks = {}
+    for row in rows:
+        block_row = [{} for _ in range(dim)]
+        for q, entry in row.items():
+            base = q * dim
+            for sigma, coeff in entry.items():
+                pairs = blocks.get(sigma)
                 if pairs is None:
-                    pairs = block_rows[sigma] = block(sigma)
-                base = col_offsets[j] + a * dim
-                r0 = row_offsets[i] + pi * dim
-                for t, row_pairs in enumerate(pairs):
-                    row = out[r0 + t]
+                    pairs = blocks[sigma] = block(sigma)
+                for out_row, row_pairs in zip(block_row, pairs):
                     for c, v in row_pairs:
                         c += base
-                        row[c] = row.get(c, 0) + coeff * v
-    return RationalMatrix(out, ncols)
+                        out_row[c] = out_row.get(c, 0) + coeff * v
+        out += block_row
+    return RationalMatrix(out, ncols * dim)
 
 
 def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalMatrix:
@@ -256,25 +270,14 @@ def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalM
     relations means no columns; with neither, f^lam is not computed.
     """
     lam = check_partition(lam)
-    k = sum(lam)
-    degrees = z.generator_degrees + z.relation_degrees
-    dim = hook_length_count(lam) if any(d >= k for d in degrees) else 0
-    return _transport(
-        lambda sigma: specht_rows(lam, sigma), k, dim,
-        z.generator_degrees, z.relation_degrees,
-        {pos: s.terms for pos, s in z.entries.items()},
-    )
+    rows, ncols = _lift(z, sum(lam))
+    dim = hook_length_count(lam) if rows or ncols else 0
+    return _transport(lambda sigma: specht_rows(lam, sigma), dim, rows, ncols)
 
 
 def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
-    """The size-k presentation of z, with its unit pivots eliminated.
-
-    The size-k presentation has every degree k: one generator per
-    (generator i, monotone p of size k into [x_i]) and one relation per
-    (relation j, monotone q of size k into [y_j]), in the block order of
-    the transported matrix.  Its entry is sum c_f * sigma over the
-    placements (sigma, q) of the terms f of z's entry at p, so its
-    transport for any shape of size k is the transport of z.
+    """The size-k presentation of z (``_lift``), with its unit pivots
+    eliminated.
 
     A unit entry c * sigma transports to c * specht_raw(lam, sigma) =
     c * U X(sigma), U the raw matrix of the identity and X the action,
@@ -298,25 +301,11 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
     left, the core, is returned with generators and relations renumbered
     in their order.
     """
-    gen_starts, nrows = _size_k_offsets(z.generator_degrees, k)
-    rel_starts, ncols = _size_k_offsets(z.relation_degrees, k)
-    rows: list = [{} for _ in range(nrows)]
-    for (i, j), s in z.entries.items():
-        for f, coeff in s.terms.items():
-            if coeff.denominator == 1:
-                coeff = coeff.numerator
-            for pi, (sigma, a) in enumerate(_placements(f, s.target, k)):
-                entry = rows[gen_starts[i] + pi].setdefault(rel_starts[j] + a, {})
-                entry[sigma] = entry.get(sigma, 0) + coeff
+    rows, ncols = _lift(z, k)
     cols: list = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
-        for q, entry in list(row.items()):
-            entry = {sigma: c for sigma, c in entry.items() if c}
-            if entry:
-                row[q] = entry
-                cols[q].add(r)
-            else:
-                del row[q]
+        for q in row:
+            cols[q].add(r)
 
     # imported here, so that ``import fistab.cli`` loads no more modules
     from heapq import heappop, heappush
@@ -413,15 +402,10 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
 def augmentation_matrix(z: PresentationMatrix) -> RationalMatrix:
     """The presentation with every injection replaced by 1.
 
-    A generators x relations rational matrix; coincides with the empty
-    shape's transported presentation.
+    A generators x relations rational matrix: the empty shape's
+    transported presentation.
     """
-    out = [
-        {j: sum(z.entry(i, j).terms.values(), Fraction(0))
-         for j in range(z.num_relations)}
-        for i in range(z.num_generators)
-    ]
-    return RationalMatrix(out, z.num_relations)
+    return induced_raw_presentation((), z)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +422,13 @@ def induced_block_action(rep, k: int, f, target: int) -> RationalMatrix:
     (monotone injections into the target) with exactly one nonzero block
     per block row: block (p, q) is rep(sorting_permutation(f o p)) when q
     is the monotone injection with the image of f o p.  Raises ValueError
-    when a block used is not the size of rep at the identity.
+    when f is not an injection into [target], or when a block used is not
+    the size of rep at the identity.
     """
     f = tuple(f)
+    single = PresentationMatrix((len(f),), (target,), {
+        (0, 0): FormalSum(len(f), target, {f: 1}),
+    })
     dim = rep(identity(k)).nrows
 
     def block(sigma):
@@ -452,7 +440,7 @@ def induced_block_action(rep, k: int, f, target: int) -> RationalMatrix:
             )
         return matrix.rows
 
-    return _transport(block, k, dim, (len(f),), (target,), {(0, 0): {f: 1}})
+    return _transport(block, dim, *_lift(single, k))
 
 
 def induced_action(lam: Partition, f, target: int) -> RationalMatrix:

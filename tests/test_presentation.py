@@ -76,6 +76,15 @@ class TestFormalSum:
         assert FormalSum(1, 2, {(1,): 1}) == FormalSum(1, 2, [((1,), 1)])
         assert FormalSum(1, 2) != FormalSum(1, 3)
 
+    def test_rejects_float_coefficients(self):
+        # a float would be stored as its binary expansion
+        with pytest.raises(TypeError, match=r"0\.1 of injection \(1,\)"):
+            FormalSum(1, 2, {(1,): 0.1})
+        with pytest.raises(TypeError, match="float"):
+            FormalSum(1, 2, [((2,), 1), ((1,), 2.0)])
+        s = FormalSum(1, 2, {(1,): "1/3", (2,): Fraction(1, 2)})
+        assert s.terms == {(1,): Fraction(1, 3), (2,): Fraction(1, 2)}
+
 
 class TestPresentationMatrix:
     def test_validates_entry_arities(self):
@@ -243,7 +252,13 @@ class TestTransportOfPresentations:
             random_presentation(rng) for _ in range(10)
         ]
         for z in candidates:
-            assert augmentation_matrix(z) == induced_raw_presentation((), z)
+            # every injection replaced by 1: each entry's coefficient sum
+            sums = [
+                [sum(z.entry(i, j).terms.values()) for j in range(z.num_relations)]
+                for i in range(z.num_generators)
+            ]
+            assert induced_raw_presentation((), z) == dense(sums, z.num_relations)
+            assert augmentation_matrix(z) == dense(sums, z.num_relations)
 
 
 # Coefficients, degrees and entry counts that the seeded corpus of
@@ -348,6 +363,13 @@ class TestBlockFunctor:
         with pytest.raises(ValueError, match="expected 1x1"):
             induced_block_action(lambda s: dense([[1, 0]]), 1, (1,), 2)
 
+    def test_non_injection_raises(self):
+        rep = lambda s: specht_action((1,), s)
+        with pytest.raises(ValueError, match=r"\(1, 1\) repeats a value"):
+            induced_block_action(rep, 1, (1, 1), 3)
+        with pytest.raises(ValueError, match=r"\(4, 1\) leaves the target range 1..3"):
+            induced_block_action(rep, 1, (4, 1), 3)
+
     @pytest.mark.parametrize("k", range(4))
     def test_functor_law_small(self, k):
         # both for irreducibles and for the regular representation; the
@@ -408,6 +430,12 @@ class TestInducedAction:
         # brute-forced from the block formula: the two monotone injections
         # [1] -> [2] exchange places
         assert induced_action((1,), (2, 1), 2) == dense([[0, 1], [1, 0]])
+
+    def test_non_injection_raises(self):
+        with pytest.raises(ValueError, match=r"\(1, 1\) repeats a value"):
+            induced_action((1,), (1, 1), 3)
+        with pytest.raises(ValueError, match=r"\(4, 1\) leaves the target range 1..3"):
+            induced_action((1,), (4, 1), 3)
 
     def test_row_count_is_binomial(self):
         for k in range(4):

@@ -1,12 +1,14 @@
-"""Fault injection into the elimination of unit pivots.
+"""Fault injection into the closed form's lift and its elimination of
+unit pivots.
 
 Each mutant edits lines of the source of
-``presentation._reduced_presentation``, and the edited function is put in
-place with ``monkeypatch``, where ``multiplicity`` looks it up too.  A
-mutant must make ``verify`` fail or raise on some presentation of the
-fault-injection corpus, or fail the one-pivot check of
-``test_reduction.py``.  Coranks are blind to some wrong multipliers, so
-``verify`` alone does not catch every mutant here.
+``presentation._reduced_presentation`` or ``presentation._lift``, and the
+edited function is put in place with ``monkeypatch``, where
+``multiplicity`` looks it up too.  A mutant must make ``verify`` fail or
+raise on some presentation of the fault-injection corpus, or fail the
+one-pivot check of ``test_reduction.py``.  Coranks are blind to some
+wrong multipliers and to some wrong placements, so ``verify`` alone does
+not catch every mutant here.
 """
 
 import inspect
@@ -34,20 +36,43 @@ MUTANTS = {
     ],
 }
 
+# mutants of _lift, as name: (edits as above, whether verify sees it)
+LIFT_MUTANTS = {
+    "placement permutation inverted": ([(
+        "sigma = sorting_permutation(fp)",
+        "sigma = inverse(sorting_permutation(fp))",
+    )], False),
+    "every coefficient replaced by 1": ([(
+        "entry[sigma] = entry.get(sigma, 0) + coeff",
+        "entry[sigma] = entry.get(sigma, 0) + 1",
+    )], False),
+    "cancelled sums kept": ([(
+        "entry = {sigma: c for sigma, c in entry.items() if c}",
+        "entry = dict(entry)",
+    )], True),
+    "generator offset lost": ([(
+        "enumerate(sources[s.source], gen_starts[i])",
+        "enumerate(sources[s.source], gen_starts[0])",
+    )], True),
+}
+
 
 def apply(monkeypatch, name: str) -> None:
     """Put the mutant's edited function in place of the original."""
-    source = textwrap.dedent(
-        inspect.getsource(presentation._reduced_presentation)
-    )
-    for line, mutated in MUTANTS[name]:
+    if name in LIFT_MUTANTS:
+        function, edits = "_lift", LIFT_MUTANTS[name][0]
+    else:
+        function, edits = "_reduced_presentation", MUTANTS[name]
+    source = textwrap.dedent(inspect.getsource(getattr(presentation, function)))
+    for line, mutated in edits:
         assert source.count(line) == 1, f"{name}: {line!r} not found once"
         source = source.replace(line, mutated)
     namespace = dict(vars(presentation))
     exec(compile(source, presentation.__file__, "exec"), namespace)
-    mutant = namespace["_reduced_presentation"]
-    monkeypatch.setattr(presentation, "_reduced_presentation", mutant)
-    monkeypatch.setattr(multiplicity, "_reduced_presentation", mutant)
+    mutant = namespace[function]
+    monkeypatch.setattr(presentation, function, mutant)
+    if function == "_reduced_presentation":
+        monkeypatch.setattr(multiplicity, function, mutant)
 
 
 def one_step_fails() -> bool:
@@ -67,3 +92,15 @@ def test_mutant_is_caught(monkeypatch, name):
     apply(monkeypatch, name)
     caught = [label for label, z in CORPUS.items() if verify_fails(z)]
     assert caught or one_step_fails(), f"{name} passes both checks"
+
+
+@pytest.mark.parametrize("name", list(LIFT_MUTANTS))
+def test_lift_mutant_is_caught(monkeypatch, name):
+    apply(monkeypatch, name)
+    caught = [label for label, z in CORPUS.items() if verify_fails(z)]
+    if LIFT_MUTANTS[name][1]:
+        assert caught, f"{name} passes verify on the whole corpus"
+    else:
+        # every corank of the corpus is unchanged
+        assert caught == []
+        assert one_step_fails(), f"{name} passes both checks"
