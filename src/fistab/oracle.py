@@ -35,11 +35,11 @@ first to last.  The echelon keeps its basis fully reduced as rows
 arrive: every basis row is zero at every other row's pivot.  The trace
 on the relation image relies on that invariant, because it makes the
 coordinate of an image vector on a basis row the vector's value at that
-row's pivot, over the pivot value.  The first trace at a degree groups
-the basis rows by pivot value into a plan, so each later trace sums
-plain ints and makes one Fraction per pivot value.  The dense relation
-matrix is built only in the tests, as the reference the ranks are
-checked against.
+row's pivot, over the pivot value.  With the basis, evaluation keeps a
+trace plan: each basis row, the injection at its pivot, and L over its
+pivot value, L the lcm of the pivot values.  A trace then sums plain
+ints and divides once by L.  The dense relation matrix is built only in
+the tests, as the reference the ranks are checked against.
 
 Decomposition takes one trace per vector (c_1, ..., c_g) of the numbers
 of cycles of each length up to g, the largest generator degree, weighted
@@ -67,7 +67,7 @@ every call, before the cache of evaluated degrees is consulted.
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 
@@ -92,48 +92,19 @@ from .ratmat import Echelon
 from .record import Record
 
 
-class DegreeEvaluation:
+class DegreeEvaluation(Record):
     """One degree of the presented module, evaluated exactly.
 
     The module at this degree is the cokernel of the relation matrix on
     injection bases; its dimension is the ambient dimension minus the
-    matrix rank.  The reduced image basis supports trace extraction for
-    every conjugacy class.  The repr shows n, ambient_dim and rank only;
-    equality compares every field, and an evaluation is not hashable.
+    matrix rank.  ``_plan`` holds the reduced image basis, one entry per
+    row: the row, its generator's offset and index of injections, the
+    injection at its pivot, and ``_scale`` over its pivot value, where
+    ``_scale`` is the lcm of the pivot values.  The repr shows n,
+    ambient_dim and rank only.
     """
 
-    def __init__(
-        self,
-        n: int,
-        ambient_dim: int,
-        rank: int,
-        _z: PresentationMatrix,
-        _offsets: list[int],
-        _injections: list[list[tuple[int, ...]]],
-        _index: list[dict[tuple[int, ...], int]],
-        _basis: Echelon,
-    ):
-        self.n = n
-        self.ambient_dim = ambient_dim
-        self.rank = rank
-        self._z = _z
-        self._offsets = _offsets
-        self._injections = _injections
-        self._index = _index
-        self._basis = _basis
-
-    def _fields(self) -> tuple:
-        return (
-            self.n, self.ambient_dim, self.rank, self._z,
-            self._offsets, self._injections, self._index, self._basis,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None
+    __slots__ = ("n", "ambient_dim", "rank", "_z", "_plan", "_scale")
 
     def __repr__(self):
         return (
@@ -145,45 +116,21 @@ class DegreeEvaluation:
     def cokernel_dim(self) -> int:
         return self.ambient_dim - self.rank
 
-    @cached_property
-    def _trace_plan(self) -> tuple:
-        """The reduced image basis, grouped by pivot value, for traces.
-
-        Each pivot value maps to one (row, generator offset, index dict,
-        injection) entry per basis row with that pivot value, the
-        injection being the one at the row's pivot.  Built on the first
-        trace, so evaluating a degree never pays for it.
-        """
-        groups: dict[int, list] = {}
-        for col, idx in self._basis.pivots.items():
-            row = self._basis.rows[idx]
-            gen = bisect_right(self._offsets, col) - 1
-            offset = self._offsets[gen]
-            injection = self._injections[gen][col - offset]
-            groups.setdefault(row[col], []).append(
-                (row, offset, self._index[gen], injection)
-            )
-        return tuple(groups.items())
-
-    def _image_trace(self, sigma) -> Fraction:
-        """Trace of a permutation restricted to the relation image.
+    def _image_trace(self, sigma) -> int:
+        """Trace of a permutation restricted to the relation image, times
+        ``_scale``.
 
         The image is stable under the action.  The basis is fully
         reduced, so the coefficient of basis row l in any image vector v
-        is v at l's pivot coordinate, divided by the pivot value.  Those
-        values are summed per pivot value, one Fraction each.
+        is v at l's pivot coordinate, divided by the pivot value; times
+        ``_scale``, that is an int.
         """
         # point v -> sigma^-1(v), so mapping an injection composes it
         sigma_inv = (0, *inverse(sigma)).__getitem__
-        total = Fraction(0)
-        for pivot, entries in self._trace_plan:
-            value = sum(
-                row.get(offset + index[tuple(map(sigma_inv, injection))], 0)
-                for row, offset, index, injection in entries
-            )
-            if value:
-                total += Fraction(value, pivot)
-        return total
+        return sum(
+            weight * row.get(offset + index[tuple(map(sigma_inv, injection))], 0)
+            for row, offset, index, injection, weight in self._plan
+        )
 
     def permutation_trace(self, sigma) -> int:
         """Character of the module at this degree, on any permutation."""
@@ -194,12 +141,14 @@ class DegreeEvaluation:
         ambient = sum(
             falling_factorial(fixed, x) for x in self._z.generator_degrees
         )
-        trace = ambient - self._image_trace(sigma)
-        if trace.denominator != 1:
+        scaled = ambient * self._scale - self._image_trace(sigma)
+        trace, remainder = divmod(scaled, self._scale)
+        if remainder:
             raise ArithmeticError(
-                f"non-integer character value {trace} for {sigma}"
+                f"non-integer character value {Fraction(scaled, self._scale)} "
+                f"for {sigma}"
             )
-        return int(trace)
+        return trace
 
     def cokernel_trace(self, mu: Partition) -> int:
         """Character of the module at this degree, on the class mu."""
@@ -488,16 +437,17 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     basis = Echelon()
     for columns, values in reversed(kept):
         basis.add_row(dict(zip(columns, values)))
-    return DegreeEvaluation(
-        n=n,
-        ambient_dim=total,
-        rank=basis.rank,
-        _z=z,
-        _offsets=offsets,
-        _injections=injections,
-        _index=index,
-        _basis=basis,
+    # each basis row with its pivot column and its generator
+    pivots = [
+        (basis.rows[idx], col, bisect_right(offsets, col) - 1)
+        for col, idx in basis.pivots.items()
+    ]
+    scale = lcm(*(row[col] for row, col, _ in pivots))
+    plan = tuple(
+        (row, offsets[i], index[i], injections[i][col - offsets[i]], scale // row[col])
+        for row, col, i in pivots
     )
+    return DegreeEvaluation(n, total, basis.rank, z, plan, scale)
 
 
 def evaluate_degree(z: PresentationMatrix, n: int) -> DegreeEvaluation:

@@ -79,8 +79,7 @@ class Echelon:
     coordinate of a vector on a basis row straight off its pivot.  The
     basis, as a map from pivot column to row, is the same for any order
     the rows are fed in; only the order of ``rows`` follows the feed.
-    Two echelons are equal when those maps are.  The cost does depend on
-    the order.  Rows whose leading columns fall are the cheap order: each
+    The cost does depend on the order.  Rows whose leading columns fall are the cheap order: each
     new pivot then lies left of the kept pivots, where the kept rows are
     almost always zero.
     """
@@ -88,16 +87,6 @@ class Echelon:
     def __init__(self):
         self.rows: list[dict[int, int]] = []
         self.pivots: dict[int, int] = {}
-
-    def _basis(self) -> dict[int, dict[int, int]]:
-        return {c: self.rows[i] for c, i in self.pivots.items()}
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._basis() == other._basis()
-
-    __hash__ = None
 
     def add_row(self, row: dict[int, int]) -> bool:
         """Reduce a row against the basis; keep it if independent.

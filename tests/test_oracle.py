@@ -3,6 +3,7 @@ import random
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd, lcm
 
 import pytest
@@ -141,22 +142,40 @@ def drawn_presentation(kind: str, rng: random.Random) -> PresentationMatrix:
 
 
 def per_pivot_trace(ev, sigma) -> Fraction:
-    """permutation_trace as it ran before the pivot plan: each pivot's
-    injection found by bisecting the generator offsets, and one Fraction
-    per pivot of the reduced basis."""
+    """permutation_trace without the evaluation's plan: on the basis of
+    the reference echelon, each pivot's injection found by bisecting the
+    generator offsets, and one Fraction per pivot."""
+    z, n = ev._z, ev.n
+    offsets, injections, index, total = [], [], [], 0
+    for x in z.generator_degrees:
+        block = all_injections(x, n)
+        offsets.append(total)
+        injections.append(block)
+        index.append({f: a for a, f in enumerate(block)})
+        total += len(block)
+    basis = every_relation_row_basis(z, n)
     sigma_inv = inverse(sigma)
     image = Fraction(0)
-    for col, idx in ev._basis.pivots.items():
-        row = ev._basis.rows[idx]
-        gen = bisect_right(ev._offsets, col) - 1
-        injection = ev._injections[gen][col - ev._offsets[gen]]
-        moved = ev._offsets[gen] + ev._index[gen][compose(sigma_inv, injection)]
+    for col, idx in basis.pivots.items():
+        row = basis.rows[idx]
+        gen = bisect_right(offsets, col) - 1
+        injection = injections[gen][col - offsets[gen]]
+        moved = offsets[gen] + index[gen][compose(sigma_inv, injection)]
         value = row.get(moved, 0)
         if value:
             image += Fraction(value, row[col])
     fixed = sum(1 for i, v in enumerate(sigma, start=1) if v == i)
-    ambient = sum(falling_factorial(fixed, x) for x in ev._z.generator_degrees)
+    ambient = sum(falling_factorial(fixed, x) for x in z.generator_degrees)
     return ambient - image
+
+
+def plan_pivot_rows(ev) -> dict[int, dict[int, int]]:
+    """The basis in an evaluation's trace plan, each row keyed by the
+    flat index of the injection at its pivot."""
+    return {
+        offset + index[injection]: row
+        for row, offset, index, injection, _ in ev._plan
+    }
 
 
 # The benchmark's triangle presentation (bench/workloads.py).
@@ -247,10 +266,13 @@ class TestRelationMatrix:
         assert dense_rows(m) == ((1, -1), (-1, 1))
 
 
+@cache
 def every_relation_row_basis(z: PresentationMatrix, n: int) -> ReferenceEchelon:
     """Every column of the dense relation matrix, each scaled by the lcm
     of its denominators, fed in order to the reference echelon: the
-    oracle's evaluation without skipping repeated rows."""
+    oracle's evaluation without skipping repeated rows.  Cached, as the
+    trace reference takes it once per drawn permutation; no caller
+    changes it."""
     echelon = ReferenceEchelon()
     for column in zip(*dense_rows(relation_matrix_at(z, n))):
         column = {i: Fraction(v) for i, v in enumerate(column) if v}
@@ -293,7 +315,10 @@ class TestRepeatedRows:
         reference = every_relation_row_basis(z, n)
         # the basis is canonical, but the order of its rows is the feed's
         assert ev.rank == reference.rank
-        assert pivot_rows(ev._basis) == pivot_rows(reference)
+        assert plan_pivot_rows(ev) == pivot_rows(reference)
+        assert ev._scale == lcm(*(row[col] for col, row in pivot_rows(reference).items()))
+        for row, offset, index, injection, weight in ev._plan:
+            assert weight * row[offset + index[injection]] == ev._scale
 
     @pytest.mark.parametrize("z,fed", [
         (NEGATED_REPEATS, 6), (SCALED_REPEATS, 12), (TRIANGLE, 8),
@@ -457,10 +482,8 @@ class TestEchelonFeed:
         basis = Echelon()
         for row in reference:
             basis.add_row(row)
-        assert ev == DegreeEvaluation(
-            n, ev.ambient_dim, basis.rank, z,
-            ev._offsets, ev._injections, ev._index, basis,
-        )
+        assert ev.rank == basis.rank
+        assert plan_pivot_rows(ev) == pivot_rows(basis)
 
     def test_relation_above_the_degree_builds_nothing(self, monkeypatch):
         # a relation of degree 6 at n = 4 gives no row and enumerates no
@@ -485,7 +508,7 @@ class TestEchelonFeed:
         first = evaluate_degree(e_presentation, 6)
         evaluate_degree.cache_clear()
         second = evaluate_degree(e_presentation, 6)
-        assert first is not second and first._basis is not second._basis
+        assert first is not second and first._plan is not second._plan
         assert first == second
         assert evaluate_degree(e_presentation, 5) != second
         evaluate_degree.cache_clear()
@@ -630,8 +653,8 @@ class TestTraces:
 class TestTracePlan:
     def test_some_pivot_value_is_not_one(self):
         ev = evaluate_degree(NON_UNIT_PIVOTS, 3)
-        pivots = {ev._basis.rows[idx][col] for col, idx in ev._basis.pivots.items()}
-        assert pivots - {1}
+        pivots = {row[col] for col, row in plan_pivot_rows(ev).items()}
+        assert pivots == {5, 7, 10, 35, 70} and ev._scale == 70
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -642,13 +665,15 @@ class TestTracePlan:
         ev = evaluate_degree(z, n)
         assert ev.permutation_trace(sigma) == per_pivot_trace(ev, sigma)
 
-    def test_evaluation_builds_no_plan(self, e_presentation):
-        evaluate_degree.cache_clear()
-        ev = evaluate_degree(e_presentation, 5)
-        assert dimension_at(e_presentation, 5) == 30
-        assert "_trace_plan" not in vars(ev)
-        ev.cokernel_trace((2, 2, 1))
-        assert "_trace_plan" in vars(ev)
+    def test_non_integer_trace_raises(self):
+        # one basis row of weight 1 over a scale of 2: the image trace of
+        # the identity comes out as 1/2, and the character as 1/2
+        ev = DegreeEvaluation(
+            1, 1, 1, PresentationMatrix((1,), ()),
+            (({0: 1}, 0, {(1,): 0}, (1,), 1),), 2,
+        )
+        with pytest.raises(ArithmeticError, match="non-integer character value 1/2"):
+            ev.permutation_trace((1,))
 
 
 class TestDecompose:

@@ -37,6 +37,9 @@ CORPUS = {
     "rational2": parse_presentation(workloads.rational2(0)),
     "M(3)": free_module(3),
     "two generators": TWO_GENERATORS,
+    # unequal coefficients on the shifts, so a lift that replaces every
+    # coefficient by 1 changes a corank
+    "cyclic-2 (1, 2)": parse_presentation(workloads.cyclic(2, (1, 2))),
 }
 
 # name: (function, line as written, line as mutated, whether the mutant

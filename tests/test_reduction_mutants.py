@@ -45,7 +45,7 @@ LIFT_MUTANTS = {
     "every coefficient replaced by 1": ([(
         "entry[sigma] = entry.get(sigma, 0) + coeff",
         "entry[sigma] = entry.get(sigma, 0) + 1",
-    )], False),
+    )], True),
     "cancelled sums kept": ([(
         "entry = {sigma: c for sigma, c in entry.items() if c}",
         "entry = dict(entry)",
