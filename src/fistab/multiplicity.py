@@ -4,17 +4,17 @@ Once the degree passes the onset bound (the largest generator degree g
 plus the larger of g and the largest relation degree r), the
 decomposition of a finitely presented FI-module stops changing except
 for the growing top rows, and its dimension follows an exact
-polynomial.  Both are read off from coranks of
-the transported presentation matrices, one per partition up to the
-largest generator degree.  Every shape's matrix of z is sized before the
-first one is built, and a shape over the cell budget of
+polynomial.  Both are read off from coranks of the transported
+presentation matrices, one per partition up to the largest generator
+degree.  Every shape's matrix of z is sized before the first one is
+built, and a shape over the cell budget of
 :func:`fistab.budget.check_cells` refuses the whole table.
 
 The matrices actually built are smaller.  For each size k the unit
-pivots of z's size-k presentation are eliminated once, over the group
-algebra Q[S_k], before any Specht block exists, and each shape of size k
-takes its corank on the core that is left.  The elimination is a block
-row operation on every shape's matrix at once, valid because the
+pivots of z's size-k presentation are eliminated once, fraction-free
+over Z[S_k], before any Specht block exists, and each shape of size k
+takes its corank on the integral core that is left.  The elimination is
+a block row operation on every shape's matrix at once, valid because the
 Specht action reverses products (see :mod:`fistab.presentation`), so
 every corank is unchanged; the budget still sizes the matrix of z.
 """

@@ -33,13 +33,16 @@ per size, the unit entries c * sigma, whose blocks are invertible for
 every shape (``_reduced_presentation``).  The elimination is a block row
 operation and keeps every corank, because specht_raw(lam, sigma) =
 U X(sigma) with U the raw matrix of the identity and X the action, which
-reverses products: the block (a U X(alpha)) (c U X(sigma))^-1
-(w U X(beta)) is the transport of (a w / c) * beta o sigma^-1 o alpha.
-Each shape of size k then transports only the small core that is left.
+reverses products: once the other generator is scaled by c, the block
+(a U X(alpha)) (U X(sigma))^-1 (w U X(beta)) is the transport of
+a w * beta o sigma^-1 o alpha.  Scaling a generator by a nonzero
+rational keeps every corank, so the elimination runs over Z[S_k] and
+every coefficient in it is an int.  Each shape of size k then
+transports only the small core that is left.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .combinatorics import (
     Partition,
@@ -52,7 +55,7 @@ from .combinatorics import (
     monotone_part,
     sorting_permutation,
 )
-from .ratmat import RationalMatrix
+from .ratmat import RationalMatrix, _norm
 from .record import Record, _restore
 from .specht import specht_action, specht_rows
 
@@ -60,11 +63,12 @@ from .specht import specht_action, specht_rows
 class FormalSum(Record):
     """A finite rational linear combination of injections [x] -> [y].
 
-    ``terms`` maps injection tuples to nonzero Fraction coefficients, made
-    from exact inputs only (a float raises TypeError); zero coefficients
+    ``terms`` maps injection tuples to nonzero coefficients, made from
+    exact inputs only (a float raises TypeError): an int where integral,
+    as in a RationalMatrix, and a Fraction otherwise.  Zero coefficients
     are dropped on construction, so equality of sums is equality of
     (source, target, terms).  The hash is taken over the sorted terms, as
-    ``terms`` is a dict.
+    ``terms`` is a dict; an int and its equal Fraction hash alike.
     """
 
     __slots__ = ("source", "target", "terms")
@@ -91,10 +95,9 @@ class FormalSum(Record):
                     f"coefficient {coeff!r} of injection {images} is a float; "
                     "use an int or a Fraction"
                 )
-            coeff = Fraction(coeff)
-            merged[images] = merged.get(images, Fraction(0)) + coeff
+            merged[images] = merged.get(images, 0) + Fraction(coeff)
         object.__setattr__(
-            self, "terms", {f: c for f, c in merged.items() if c != 0}
+            self, "terms", {f: _norm(c) for f, c in merged.items() if c != 0}
         )
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -203,8 +206,8 @@ def _lift(z: PresentationMatrix, k: int):
     of entry (i, j) puts c * sorting_permutation(f o p) at
     (p, monotone_part(f o p)); an entry sums c_f * sigma over the terms
     placed there.  Returns the generators, each a dict from relation to
-    entry, each entry a dict from permutation to nonzero coefficient (an
-    int where integral), and the number of relations.
+    entry, each entry a dict from permutation to the nonzero sum of the
+    coefficients placed there, and the number of relations.
     """
     gen_starts, nrows = _size_k_offsets(z.generator_degrees, k)
     rel_starts, ncols = _size_k_offsets(z.relation_degrees, k)
@@ -217,8 +220,6 @@ def _lift(z: PresentationMatrix, k: int):
     for (i, j), s in z.entries.items():
         column, start = columns[s.target], rel_starts[j]
         for f, coeff in s.terms.items():
-            if coeff.denominator == 1:
-                coeff = coeff.numerator
             for r, p in enumerate(sources[s.source], gen_starts[i]):
                 fp = compose(f, p)
                 entry = rows[r].setdefault(start + column[monotone_part(fp)], {})
@@ -277,20 +278,21 @@ def induced_raw_presentation(lam: Partition, z: PresentationMatrix) -> RationalM
 
 def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
     """The size-k presentation of z (``_lift``), with its unit pivots
-    eliminated.
+    eliminated fraction-free, over Z[S_k]: every coefficient is an int.
 
-    A unit entry c * sigma transports to c * specht_raw(lam, sigma) =
+    Scaling a generator by a nonzero rational keeps every corank, so each
+    generator is first made integral by the lcm of its denominators.  A
+    unit entry c * sigma transports to c * specht_raw(lam, sigma) =
     c * U X(sigma), U the raw matrix of the identity and X the action,
     which is invertible for every shape.  Pivoting on it at (p, q) is a
     block row operation: every other generator r with an entry a * alpha
-    at q takes away, at each q' where p has an entry w * beta, the block
-    (a U X(alpha)) (c U X(sigma))^-1 (w U X(beta)).  X reverses products
-    and U cancels, so that block is (a w / c) U X(beta o sigma^-1 o
-    alpha), the transport of (a w / c) * beta o sigma^-1 o alpha.  Column
-    q is then zero except at p, so dropping generator p and relation q
-    leaves every shape's corank unchanged.  The products w * a are summed
-    per permutation and divided by c once, so a coefficient stays an int
-    wherever it is integral.
+    at q is scaled by c and takes away, at each q' where p has an entry
+    w * beta, the block (a U X(alpha)) (U X(sigma))^-1 (w U X(beta)).  X
+    reverses products and U cancels, so that block is a w U X(beta o
+    sigma^-1 o alpha), the transport of a w * beta o sigma^-1 o alpha.
+    Generator r is then divided by its content, the gcd of its
+    coefficients.  Column q is zero except at p, so dropping generator p
+    and relation q leaves every shape's corank unchanged.
 
     Pivots go in Markowitz order, fewest (entries of the row - 1) *
     (entries of the column - 1) first, ties by (generator, relation)
@@ -304,8 +306,11 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
     rows, ncols = _lift(z, k)
     cols: list = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
-        for q in row:
+        scale = lcm(*(c.denominator for e in row.values() for c in e.values()))
+        for q, entry in row.items():
             cols[q].add(r)
+            for sigma, c in entry.items():
+                entry[sigma] = c.numerator * (scale // c.denominator)
 
     # imported here, so that ``import fistab.cli`` loads no more modules
     from heapq import heappop, heappush
@@ -341,24 +346,26 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
             other = rows[r]
             column_entry = other[q]
             change -= len(column_entry)
-            updated = []
+            # c times row r, less the sum of w * a * beta o sigma^-1 o alpha
+            updated = {
+                q2: entry if c == 1 else {t: c * v for t, v in entry.items()}
+                for q2, entry in other.items() if q2 != q
+            }
             for q2, products in pivot_row:
-                # the sum of w * a * beta o sigma^-1 o alpha, divided by c
-                # once per permutation
-                sums = {}
+                old = updated.pop(q2, {})
+                new = dict(old)
                 for w, g in products:
                     for alpha, a in column_entry.items():
                         key = tuple(map(g.__getitem__, alpha))
-                        sums[key] = sums.get(key, 0) + w * a
-                old = other.get(q2, {})
-                new = dict(old)
-                for key, v in sums.items():
-                    new[key] = new.get(key, 0) - (
-                        v // c if v % c == 0 else Fraction(v, c)
-                    )
+                        new[key] = new.get(key, 0) - w * a
                 new = {tau: v for tau, v in new.items() if v}
                 change += len(new) - len(old)
-                updated.append((q2, new))
+                if new:
+                    updated[q2] = new
+            content = gcd(*(v for e in updated.values() for v in e.values()))
+            if content > 1:
+                updated = {q2: {t: v // content for t, v in entry.items()}
+                           for q2, entry in updated.items()}
             updates.append((r, updated))
         if terms + change > limit:
             break
@@ -367,35 +374,28 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
         for q2 in row:
             cols[q2].discard(p)
         for r, updated in updates:
-            other = rows[r]
-            del other[q]
-            for q2, new in updated:
-                if new:
-                    other[q2] = new
-                    cols[q2].add(r)
-                elif q2 in other:
-                    del other[q2]
-                    cols[q2].discard(r)
-        cols[q] = None
-        for r, _ in updates:
             for q2 in rows[r]:
+                cols[q2].discard(r)
+            for q2 in updated:
+                cols[q2].add(r)
+            rows[r] = updated
+        cols[q] = None
+        for r, updated in updates:
+            for q2 in updated:
                 push(r, q2)
         for q2, _ in pivot_row:
             for r in cols[q2]:
                 push(r, q2)
 
     kept_rows = [row for row in rows if row is not None]
-    renumber = {}
-    for q, col in enumerate(cols):
-        if col is not None:
-            renumber[q] = len(renumber)
-    # every term is a permutation of [k] with a nonzero coefficient, so
-    # the sums are made without the constructor's checks
+    kept_cols = [q for q, col in enumerate(cols) if col is not None]
+    renumber = {q: a for a, q in enumerate(kept_cols)}
+    # every term is a permutation of [k] with a nonzero int coefficient,
+    # so the sums are made without the constructor's checks
     return PresentationMatrix(
         (k,) * len(kept_rows), (k,) * len(renumber),
-        {(r, renumber[q]): _restore(FormalSum, (k, k, {
-            sigma: Fraction(c) for sigma, c in entry.items()
-        })) for r, row in enumerate(kept_rows) for q, entry in row.items()},
+        {(r, renumber[q]): _restore(FormalSum, (k, k, entry))
+         for r, row in enumerate(kept_rows) for q, entry in row.items()},
     )
 
 

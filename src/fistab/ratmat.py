@@ -20,20 +20,18 @@ place, from the rows already kept.  The basis does not depend on the
 order the rows are fed in, but the cost does: a pivot left of every kept
 pivot has nothing to clear.  ``RationalMatrix.rank`` and the oracle get
 rows whose leading columns mostly rise, so they feed them last first.
-The closed form ranks the transports of the cores its elimination of
-unit pivots leaves; a corank is unchanged by that block row operation
-because the Specht action reverses products (see
-:mod:`fistab.presentation`).  Last first is still no slower there: on
+The closed form ranks the transports of the integral cores its
+fraction-free elimination of unit pivots leaves (see
+:mod:`fistab.presentation`); last first is no slower there: on
 cyclic-9's cores it took 61 ms against 69 ms fed first first (2-core
-VM, Python 3.11).
-The oracle relies on the invariant to read the coordinate of an image
-vector on a basis row straight off that row's pivot; its traces are
-what the reduced basis is kept for.
+VM, Python 3.11).  The oracle relies on the invariant to read the
+coordinate of an image vector on a basis row straight off that row's
+pivot; its traces are what the reduced basis is kept for.
 
 The transported matrices of the closed form are a few percent nonzero,
 and so are the relation matrices of the brute-force oracle, which feeds
-the same engine directly.  ``RationalMatrix.rank`` clears each row's
-denominators and feeds the row's nonzero entries to it.
+the same engine directly.  ``RationalMatrix.rank`` feeds each row's
+nonzero entries to it, after clearing the denominators of a rational row.
 
 Matrices with zero rows or zero columns are first-class: a matrix with no
 columns has rank 0 (so its corank equals its row count), and a matrix with

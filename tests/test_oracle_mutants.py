@@ -40,6 +40,9 @@ CORPUS = {
     # unequal coefficients on the shifts, so a lift that replaces every
     # coefficient by 1 changes a corank
     "cyclic-2 (1, 2)": parse_presentation(workloads.cyclic(2, (1, 2))),
+    # the shifts' coefficients sum to 0, so a size-0 lift that keeps the
+    # zero sum pivots on it and loses the empty shape's multiplicity
+    "cyclic-3 (1, -1)": parse_presentation(workloads.cyclic(3, (1, -1))),
 }
 
 # name: (function, line as written, line as mutated, whether the mutant

@@ -85,6 +85,18 @@ class TestFormalSum:
         s = FormalSum(1, 2, {(1,): "1/3", (2,): Fraction(1, 2)})
         assert s.terms == {(1,): Fraction(1, 3), (2,): Fraction(1, 2)}
 
+    def test_integral_coefficients_are_ints(self):
+        s = FormalSum(1, 2, {(1,): Fraction(4, 2), (2,): Fraction(1, 2)})
+        assert type(s.terms[(1,)]) is int and s.terms[(1,)] == 2
+        assert type(s.terms[(2,)]) is Fraction
+        as_fractions = {(1,): Fraction(2), (2,): Fraction(1, 2)}
+        assert s.terms == as_fractions
+        assert s == FormalSum(1, 2, {(1,): 2, (2,): Fraction(1, 2)})
+        assert hash(s) == hash((1, 2, tuple(sorted(as_fractions.items()))))
+        # an integral sum of Fractions is stored as an int too
+        summed = FormalSum(1, 2, [((1,), Fraction(1, 2)), ((1,), Fraction(3, 2))])
+        assert type(summed.terms[(1,)]) is int
+
 
 class TestPresentationMatrix:
     def test_validates_entry_arities(self):

@@ -2,11 +2,16 @@
 
 ``eventual_multiplicities`` transports, for each size k, the core that
 ``presentation._reduced_presentation`` leaves: the size-k presentation of
-z with its unit pivots eliminated over Q[S_k].  The reference is the
-transport of z itself, whose corank is the multiplicity.  Coranks are
-blind to some wrong multipliers, so one pivot is also checked exactly:
-the core's transport must equal the Schur complement D - C B^-1 W of the
-pivot block B in the transport of the presentation, in Fractions.
+z with its unit pivots eliminated fraction-free over Z[S_k].  The
+reference is the transport of z itself, whose corank is the
+multiplicity.  Coranks are blind to some wrong multipliers, so one pivot
+is also checked exactly:
+each generator's block row of the core's transport must be a nonzero
+rational multiple of the same block row of the Schur complement
+D - C B^-1 W of the pivot block B in the transport of the presentation,
+in Fractions.  A multiple, because the elimination is fraction-free: it
+scales each generator it updates by the pivot's coefficient and then
+divides it by its content, and neither changes a corank.
 """
 
 import os
@@ -58,6 +63,9 @@ def corank_mismatches(z: PresentationMatrix) -> list:
 NAMED = {
     **{f"cyclic-{x}": parse_presentation(workloads.cyclic(x))
        for x in range(3, 9)},
+    # unequal shift coefficients, on which a core without sigma^-1 or
+    # without its generators' offsets has a wrong corank
+    "cyclic-5 (1, 2)": parse_presentation(workloads.cyclic(5, (1, 2))),
     "alternating6": parse_presentation(workloads.inputs(0)["alternating6"]),
     "rational2": parse_presentation(workloads.rational2(0)),
     "M(3)": free_module(3),
@@ -89,12 +97,57 @@ def test_core_keeps_every_corank_on_the_random_corpora(draw):
         assert corank_mismatches(z) == [], z
 
 
-def test_cyclic10_table_matches_the_pinned_output(monkeypatch, capsys):
-    # pinned from the transport of the whole presentation, shape by shape
+# The size-0 lift of entry (0, 1) sums 1/2 + 3/2 to Fraction(2), an
+# integral Fraction, and the pivot on it scales generator 1.
+INTEGRAL_SUM = PresentationMatrix((1, 0), (0, 2), {
+    (0, 1): FormalSum(1, 2, {(1,): Fraction(1, 2), (2,): Fraction(3, 2)}),
+    (1, 0): FormalSum(0, 0, {(): 1}),
+    (1, 1): FormalSum(0, 2, {(): 1}),
+})
+
+
+def core_coefficient_types(z: PresentationMatrix) -> set:
+    """The types of the coefficients of every core of z."""
+    return {
+        type(c)
+        for k in range(z.max_generator_degree + 1)
+        for s in presentation._reduced_presentation(z, k).entries.values()
+        for c in s.terms.values()
+    }
+
+
+@pytest.mark.parametrize(
+    "z", [*NAMED.values(), INTEGRAL_SUM], ids=[*NAMED, "integral sum"]
+)
+def test_every_core_coefficient_is_an_int(z):
+    assert core_coefficient_types(z) <= {int}
+
+
+@pytest.mark.parametrize(
+    "draw", [random_presentation, random_low_relation_presentation]
+)
+def test_every_core_coefficient_is_an_int_on_the_random_corpora(draw):
+    rng = random.Random(18)
+    for _ in range(100):
+        z = draw(rng)
+        assert core_coefficient_types(z) <= {int}, z
+
+
+# each NAME.fipres with a NAME-multiplicities.json pinned from an
+# earlier version of the closed form
+PINNED = sorted(
+    name[:-len("-multiplicities.json")] for name in os.listdir(DATA)
+    if name.endswith("-multiplicities.json")
+)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_table_matches_the_pinned_output(monkeypatch, capsys, name):
+    # the cap admits cyclic-10, whose matrices of z are sized
     monkeypatch.setenv("FISTAB_ORACLE_CAP", "50000")
-    path = os.path.join(DATA, "cyclic10.fipres")
+    path = os.path.join(DATA, f"{name}.fipres")
     assert main(["multiplicities", path, "--json"]) == 0
-    with open(os.path.join(DATA, "cyclic10-multiplicities.json")) as handle:
+    with open(os.path.join(DATA, f"{name}-multiplicities.json")) as handle:
         assert capsys.readouterr().out == handle.read()
 
 
@@ -154,9 +207,21 @@ def schur_complement(m, dim: int) -> list:
     ]
 
 
+def is_multiple(got, expected) -> bool:
+    """Whether got is a nonzero rational multiple of expected, flat."""
+    if len(got) != len(expected):
+        return False
+    lead = next((i for i, x in enumerate(expected) if x), None)
+    if lead is None:
+        return not any(got)
+    ratio = Fraction(got[lead]) / expected[lead]
+    return ratio != 0 and all(x == ratio * y for x, y in zip(got, expected))
+
+
 def one_step_failures(cases) -> list:
-    """The cases whose core is not one pivot smaller, or whose core
-    transport differs from the Schur complement for some shape."""
+    """The cases whose core is not one pivot smaller, or for which some
+    shape's core transport has a generator block row that is not a
+    nonzero multiple of that block row of the Schur complement."""
     failures = []
     for z in cases:
         k = z.generator_degrees[0]
@@ -167,9 +232,12 @@ def one_step_failures(cases) -> list:
         for lam in partitions(k):
             full = induced_raw_presentation(lam, z)
             dim = full.nrows // 4
-            got = [tuple(map(Fraction, row))
-                   for row in dense_rows(induced_raw_presentation(lam, core))]
-            if got != schur_complement(full, dim):
+            got = dense_rows(induced_raw_presentation(lam, core))
+            want = schur_complement(full, dim)
+            if len(got) != len(want) or not all(
+                is_multiple(sum(got[g:g + dim], ()), sum(want[g:g + dim], ()))
+                for g in range(0, len(want), dim)
+            ):
                 failures.append(z)
                 break
     return failures

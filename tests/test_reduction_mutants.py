@@ -8,7 +8,9 @@ edited function is put in place with ``monkeypatch``, where
 raise on some presentation of the fault-injection corpus, or fail the
 one-pivot check of ``test_reduction.py``.  Coranks are blind to some
 wrong multipliers and to some wrong placements, so ``verify`` alone does
-not catch every mutant here.
+not catch every mutant here.  Two mutants must also give a core whose
+corank differs from z's on cyclic-5 with shift coefficients (1, 2), so
+that catching them does not rest on the one-pivot check alone.
 """
 
 import inspect
@@ -20,7 +22,12 @@ import fistab.multiplicity as multiplicity
 import fistab.presentation as presentation
 
 from test_oracle_mutants import CORPUS, verify_fails
-from test_reduction import one_pivot_cases, one_step_failures
+from test_reduction import (
+    NAMED,
+    corank_mismatches,
+    one_pivot_cases,
+    one_step_failures,
+)
 
 # name: [(line as written, line as mutated), ...]
 MUTANTS = {
@@ -34,6 +41,14 @@ MUTANTS = {
         ("len(row.get(q, ())) != 1", "len(row.get(q, ())) not in (1, 2)"),
         ("(sigma, c), = row[q].items()", "(sigma, c), *_ = row[q].items()"),
     ],
+    "updated generator not scaled by c": [(
+        "q2: entry if c == 1 else {t: c * v for t, v in entry.items()}",
+        "q2: entry",
+    )],
+    "denominators dropped, not cleared": [(
+        "entry[sigma] = c.numerator * (scale // c.denominator)",
+        "entry[sigma] = c.numerator",
+    )],
 }
 
 # mutants of _lift, as name: (edits as above, whether verify sees it)
@@ -55,6 +70,9 @@ LIFT_MUTANTS = {
         "enumerate(sources[s.source], gen_starts[0])",
     )], True),
 }
+
+# mutants whose core has a wrong corank on cyclic-5 (1, 2)
+CORANK_CAUGHT = ("no sigma inverse", "generator offset lost")
 
 
 def apply(monkeypatch, name: str) -> None:
@@ -104,3 +122,11 @@ def test_lift_mutant_is_caught(monkeypatch, name):
         # every corank of the corpus is unchanged
         assert caught == []
         assert one_step_fails(), f"{name} passes both checks"
+
+
+@pytest.mark.parametrize("name", CORANK_CAUGHT)
+def test_mutant_changes_a_core_corank(monkeypatch, name):
+    apply(monkeypatch, name)
+    assert corank_mismatches(NAMED["cyclic-5 (1, 2)"]), (
+        f"{name} keeps every corank of cyclic-5 (1, 2)"
+    )
