@@ -8,8 +8,9 @@ and Kostka numbers.
 ``verify`` confronts the two.
 
 The names exported here are the ones the demos and the README quick start
-use; everything else is reached through its submodule, and presentation
-files through ``fistab.cli``.
+use; everything else is reached through its submodule, presentation
+files through ``fistab.presentation`` and the command line through
+``fistab.cli``.
 """
 
 from .combinatorics import (

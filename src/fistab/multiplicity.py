@@ -20,7 +20,7 @@ every corank is unchanged; the budget still sizes the matrix of z.
 """
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 from .budget import check_cells
 from .combinatorics import Partition, check_partition, hook_length_count, partitions
@@ -150,35 +150,17 @@ class DimensionPolynomial(Record):
         return f"({numerator})/{denom}"
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def _shape_term(lam: Partition) -> list[Fraction]:
-    """Coefficients of the degree polynomial contributed by one shape.
-
-    With m = |lam| and l_i = lam_i + m - i for i = 1..m (missing parts
-    count as zero), the term is
-
-        prod_{i<j} (l_i - l_j) / prod_i (l_i)!  *  prod_i (n - l_i),
-
-    a polynomial of degree m; both products are 1 when lam is empty.
-    """
-    m = sum(lam)
-    parts = list(lam) + [0] * (m - len(lam))
-    ls = [parts[i] + m - (i + 1) for i in range(m)]
-    scalar = Fraction(1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            scalar *= ls[i] - ls[j]
-        scalar /= factorial(ls[i])
-    poly = [scalar]
-    for l in ls:
-        poly = _poly_mul(poly, [Fraction(-l), Fraction(1)])
+def _interpolate(xs, ys) -> list[Fraction]:
+    """Ascending coefficients of the polynomial of degree < len(xs)
+    through the points (xs, ys): Newton's divided differences, expanded
+    from the innermost factor out."""
+    diffs = [Fraction(y) for y in ys]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+    poly = diffs[-1:]
+    for c, x in zip(diffs[-2::-1], xs[-2::-1]):  # poly * (n - x) + c
+        poly = [c - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:] + [0])]
     return poly
 
 
@@ -187,19 +169,22 @@ def dimension_polynomial(
 ) -> DimensionPolynomial:
     """The stable dimension polynomial of the presented module.
 
-    Sums each shape's term weighted by its eventual multiplicity; exact
-    rational coefficients, valid from the onset bound.  A caller that
-    already holds ``eventual_multiplicities(z)`` passes it as ``table``
-    so it is not built again.
+    Beyond the onset, dim M[n] is the sum of m_lam * f^(n - |lam|, lam)
+    over the table, a polynomial of degree at most g, the largest
+    generator degree.  It is evaluated by the hook length formula at the
+    g + 1 degrees 2g + 1, ..., 3g + 1, where every (n - |lam|, lam) is a
+    partition, and interpolated exactly.  A caller that already holds
+    ``eventual_multiplicities(z)`` passes it as ``table`` so it is not
+    built again.
     """
     if table is None:
         table = eventual_multiplicities(z)
-    total = [Fraction(0)] * (z.max_generator_degree + 1)
-    for lam, count in table:
-        if count == 0:
-            continue
-        for e, c in enumerate(_shape_term(lam)):
-            total[e] += count * c
+    g = z.max_generator_degree
+    degrees = range(2 * g + 1, 3 * g + 2)
+    total = _interpolate(degrees, [
+        sum(c * hook_length_count((n - sum(lam),) + lam) for lam, c in table if c)
+        for n in degrees
+    ])
     while total and total[-1] == 0:
         total.pop()
     return DimensionPolynomial(tuple(total), onset_bound(z))

@@ -5,7 +5,9 @@ rows are generators (with degrees x_i), columns are relations (degrees
 y_j), and the module is the cokernel of the induced map between free
 modules.  For each partition the presentation is transported to a single
 rational block matrix whose corank is the eventual multiplicity of that
-partition (grown by a long top row) in the module.
+partition (grown by a long top row) in the module.  A presentation file
+is read by ``parse_presentation``, whose docstring gives the grammar, and
+written by ``serialize_presentation``.
 
 The transported matrix of a single injection f is block-structured: rows
 are indexed by pairs (monotone injection p into the source, standard
@@ -41,6 +43,7 @@ every coefficient in it is an int.  Each shape of size k then
 transports only the small core that is left.
 """
 
+import re
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -180,6 +183,158 @@ class PresentationMatrix(Record):
             f"relations={list(self.relation_degrees)}, "
             f"{len(self.entries)} nonzero entries)"
         )
+
+
+# ---------------------------------------------------------------------------
+# presentation files
+# ---------------------------------------------------------------------------
+
+class PresentationParseError(ValueError):
+    """A presentation file problem, annotated with its line number."""
+
+    def __init__(self, lineno: int, message: str):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno = lineno
+
+
+_DEGREES_RE = re.compile(r"^(generators|relations)\s*:\s*(.*)$")
+_ENTRY_RE = re.compile(r"^entry\s+(\d+)\s+(\d+)\s*:\s*(.*)$")
+_TERM_RE = re.compile(
+    r"\s*(?P<sep>[+-])?\s*"
+    r"(?:(?P<coeff>\d+(?:\s*/\s*\d+)?)\s*\*\s*)?"
+    r"\[(?P<images>[^\]]*)\]"
+)
+
+
+def _parse_terms(body: str, lineno: int):
+    pos = 0
+    first = True
+    terms = []
+    while pos < len(body):
+        match = _TERM_RE.match(body, pos)
+        if not match:
+            raise PresentationParseError(
+                lineno, f"cannot read a term at: {body[pos:].strip()!r}"
+            )
+        if not first and match.group("sep") is None:
+            raise PresentationParseError(
+                lineno, "terms must be separated by '+' or '-'"
+            )
+        sign = -1 if match.group("sep") == "-" else 1
+        coeff = Fraction(1)
+        if match.group("coeff"):
+            text = match.group("coeff").replace(" ", "")
+            try:
+                coeff = Fraction(text)
+            except ZeroDivisionError:
+                raise PresentationParseError(
+                    lineno, f"coefficient {text} has a zero denominator"
+                ) from None
+        try:
+            images = tuple(int(v) for v in match.group("images").split())
+        except ValueError:
+            raise PresentationParseError(
+                lineno, f"images must be integers: [{match.group('images')}]"
+            ) from None
+        terms.append((images, sign * coeff))
+        pos = match.end()
+        first = False
+    if first:
+        raise PresentationParseError(lineno, "entry has no terms")
+    return terms
+
+
+def parse_presentation(text: str) -> PresentationMatrix:
+    """Parse a presentation file into a PresentationMatrix.
+
+    The grammar has one directive per line, and ``#`` starts a comment::
+
+        generators: d1 d2 ... dg
+        relations: e1 e2 ... er
+        entry i j : term (("+"|"-") term)*
+
+    where ``term`` is ``[v1 v2 ... v_di]`` with an optional rational
+    coefficient prefix ``c*`` (for example ``1/2*[1 3]``), the ``v`` are
+    distinct values in ``1..ej``, and ``i``, ``j`` are 1-indexed.  Unlisted
+    entries are zero; listing ``entry i j`` twice is an error; repeating an
+    injection inside one entry adds the coefficients.
+    """
+    found: dict[str, tuple[int, ...]] = {}
+    entries: dict[tuple[int, int], FormalSum] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        degrees = _DEGREES_RE.match(line)
+        if degrees:
+            kind, body = degrees.groups()
+            try:
+                values = tuple(int(v) for v in body.split())
+            except ValueError:
+                raise PresentationParseError(
+                    lineno, f"{kind} line must list integers"
+                ) from None
+            if any(v < 0 for v in values):
+                raise PresentationParseError(lineno, "degrees must be >= 0")
+            if kind in found:
+                raise PresentationParseError(lineno, f"second {kind} line")
+            found[kind] = values
+            continue
+        entry = _ENTRY_RE.match(line)
+        if entry:
+            if len(found) < 2:
+                raise PresentationParseError(
+                    lineno, "entries must follow the generators and relations lines"
+                )
+            generators, relations = found["generators"], found["relations"]
+            i, j = int(entry.group(1)), int(entry.group(2))
+            if not 1 <= i <= len(generators):
+                raise PresentationParseError(
+                    lineno, f"generator index {i} out of range 1..{len(generators)}"
+                )
+            if not 1 <= j <= len(relations):
+                raise PresentationParseError(
+                    lineno, f"relation index {j} out of range 1..{len(relations)}"
+                )
+            if (i - 1, j - 1) in entries:
+                raise PresentationParseError(lineno, f"duplicate entry {i} {j}")
+            terms = _parse_terms(entry.group(3), lineno)
+            try:
+                entries[(i - 1, j - 1)] = FormalSum(
+                    generators[i - 1], relations[j - 1], terms
+                )
+            except ValueError as exc:
+                raise PresentationParseError(lineno, str(exc)) from None
+            continue
+        raise PresentationParseError(lineno, f"cannot parse: {line!r}")
+    for kind in ("generators", "relations"):
+        if kind not in found:
+            raise PresentationParseError(0, f"missing {kind} line")
+    return PresentationMatrix(found["generators"], found["relations"], entries)
+
+
+def serialize_presentation(z: PresentationMatrix) -> str:
+    """Canonical text form; parses back to an equal PresentationMatrix."""
+    lines = [
+        f"{kind}: {' '.join(map(str, degrees))}".rstrip()
+        for kind, degrees in (
+            ("generators", z.generator_degrees),
+            ("relations", z.relation_degrees),
+        )
+    ]
+    for (i, j) in sorted(z.entries):
+        parts = []
+        for images, coeff in sorted(z.entries[(i, j)].terms.items()):
+            body = "[" + " ".join(str(v) for v in images) + "]"
+            mag = abs(coeff)
+            if mag != 1:
+                body = f"{mag}*{body}"
+            if not parts:
+                parts.append(body if coeff > 0 else f"-{body}")
+            else:
+                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+        lines.append(f"entry {i + 1} {j + 1} : " + " ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +620,11 @@ def induced_action(lam: Partition, f, target: int) -> RationalMatrix:
 __all__ = [
     "FormalSum",
     "PresentationMatrix",
+    "PresentationParseError",
     "augmentation_matrix",
     "induced_action",
     "induced_block_action",
     "induced_raw_presentation",
+    "parse_presentation",
+    "serialize_presentation",
 ]

@@ -111,6 +111,55 @@ class TestParser:
             assert parse_presentation(serialize_presentation(z)) == z
 
 
+# each command's arguments as its usage line lists them, and its help in
+# the top-level listing
+COMMAND_LINES = {
+    "multiplicities": (
+        "[-h] [--json] file",
+        "eventual multiplicity of each shape (grown by a long top row)",
+    ),
+    "dimension": ("[-h] [--json] file", "stable dimension polynomial"),
+    "evaluate": ("[-h] --n N [--json] file", "brute-force dimension at one degree"),
+    "decompose": (
+        "[-h] --n N [--json] file", "brute-force decomposition at one degree"
+    ),
+    "verify": (
+        "[-h] [--n N] [--json] file",
+        "compare the brute-force decomposition against the closed form",
+    ),
+    "specht": (
+        "[-h] --shape SHAPE --perm PERM",
+        "irreducible action matrix of a permutation",
+    ),
+    "amatrix": (
+        "[-h] --shape SHAPE file",
+        "transported presentation matrix for one shape, with labels",
+    ),
+}
+
+
+def help_text(monkeypatch, capsys, argv) -> list[str]:
+    # wide enough that no line wraps
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exited:
+        main([*argv, "--help"])
+    assert exited.value.code == 0
+    return capsys.readouterr().out.splitlines()
+
+
+class TestParsers:
+    @pytest.mark.parametrize("command", list(COMMAND_LINES))
+    def test_usage_line(self, monkeypatch, capsys, command):
+        usage = help_text(monkeypatch, capsys, [command])[0]
+        assert usage == f"usage: fistab {command} {COMMAND_LINES[command][0]}"
+
+    def test_top_level_help_lists_each_command(self, monkeypatch, capsys):
+        lines = help_text(monkeypatch, capsys, [])
+        assert lines[0] == "usage: fistab [-h] {" + ",".join(COMMAND_LINES) + "} ..."
+        listed = [line.split(None, 1) for line in lines if line.startswith("    ")]
+        assert listed == [[name, helps] for name, (_, helps) in COMMAND_LINES.items()]
+
+
 @pytest.fixture()
 def e_file(tmp_path):
     path = tmp_path / "e.fipres"

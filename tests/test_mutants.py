@@ -19,7 +19,9 @@ Four checks look for a mutant (``CHECKS``):
 
 Each mutant declares the exact set of checks that catch it, and each one
 that ``verify`` misses says why.  ``test_catch_set`` runs each check on
-each mutant, so a failure names both.
+each mutant, so a failure names both.  A mutant that no check catches
+names the tier-1 tests that do (``SEEN_BY``), and
+``test_uncaught_mutant_fails_its_named_tests`` runs them on it.
 """
 
 import inspect
@@ -40,6 +42,9 @@ import fistab.ratmat as ratmat
 from conftest import E_FILE, free_module
 from test_oracle import TRIANGLE, all_injection_feed, fed_rows, primitive, workloads
 from test_reduction import NAMED, corank_mismatches, one_pivot_cases, one_step_failures
+import test_cli
+import test_presentation
+import test_ratmat
 
 
 def symmetriser_beside(sigma) -> PresentationMatrix:
@@ -150,8 +155,39 @@ MUTANTS = {
     )], {"verify"}, ""),
     "integral Fractions kept": (ratmat, "_norm", [(
         "return int(v) if v.denominator == 1 else v", "return v",
-    )], set(), "only the number type changes, as test_normalizes_integral_fractions "
-        "and test_integral_coefficients_are_ints see"),
+    )], set(), "only the number type changes"),
+    "compose reads f backwards": (combinatorics, "compose", [(
+        "for v in f)", "for v in f[::-1])",
+    )], {"verify", "one pivot", "core corank"}, ""),
+    "last monotone injection dropped": (combinatorics, "monotone_injections", [(
+        "list(combinations(range(1, n + 1), k))",
+        "list(combinations(range(1, n + 1), k))[:-1]",
+    )], {"verify", "feed", "one pivot", "core corank"}, ""),
+    "monotone injections reversed": (combinatorics, "monotone_injections", [(
+        "list(combinations(range(1, n + 1), k))",
+        "list(combinations(range(1, n + 1), k))[::-1]",
+    )], set(), "only the order of each basis changes, and no rank depends on it"),
+    # the file format: the corpus is parsed once, unmutated, but parsed
+    # again inside a check it would not help, since 4 of its presentations
+    # change after a serialize/parse round trip and verify passes on each
+    "parser reads '-' as '+'": (presentation, "_parse_terms", [(
+        'sign = -1 if match.group("sep") == "-" else 1', "sign = 1",
+    )], set(), "both routes read the one parsed presentation, so no "
+        "comparison of the two can see a parser fault"),
+}
+
+# For each mutant that no check catches, tier-1 tests that fail on it.
+SEEN_BY = {
+    "integral Fractions kept": [
+        test_ratmat.TestConstruction().test_normalizes_integral_fractions,
+        test_presentation.TestFormalSum().test_integral_coefficients_are_ints,
+    ],
+    "monotone injections reversed": [
+        test_presentation.TestTransportOfInjections().test_single_row_shape_golden,
+    ],
+    "parser reads '-' as '+'": [
+        test_cli.TestParser().test_leading_minus_and_merging,
+    ],
 }
 
 
@@ -242,3 +278,15 @@ def test_catch_set(fresh, name, check):
 def test_each_verify_miss_has_a_reason():
     for name, (*_, caught, reason) in MUTANTS.items():
         assert bool(reason) == ("verify" not in caught), name
+
+
+def test_each_uncaught_mutant_names_its_tests():
+    assert set(SEEN_BY) == {name for name, row in MUTANTS.items() if not row[3]}
+
+
+@pytest.mark.parametrize("name", list(SEEN_BY))
+def test_uncaught_mutant_fails_its_named_tests(fresh, name):
+    apply(fresh, name)
+    for test in SEEN_BY[name]:
+        with pytest.raises(AssertionError):
+            test()

@@ -1,10 +1,12 @@
 """The public surface: the demos run, the README quick start prints what
-its comments say, and ``fistab`` exports exactly the names they use."""
+its comments say, the README's example session prints what it shows, and
+``fistab`` exports exactly the names the demos and the quick start use."""
 
 import ast
 import builtins
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +25,22 @@ def quick_start() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Quick start", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def example_session() -> list[tuple[str, str]]:
+    """Each ``$ fistab ...`` line of the README's example session, with
+    the lines printed under it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Example session", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    session = []
+    for line in block.splitlines(keepends=True):
+        if line.startswith("$ "):
+            session.append((line[2:].strip(), ""))
+        else:
+            command, printed = session[-1]
+            session[-1] = (command, printed + line)
+    return session
 
 
 def demo_imports() -> set[str]:
@@ -79,6 +97,20 @@ def test_readme_quick_start_results():
         assert eval(source, namespace) == ast.literal_eval(expected), source
         checked += 1
     assert checked == 4
+
+
+@pytest.mark.parametrize("command,printed", [
+    pytest.param(command, printed, id=command)
+    for command, printed in example_session()
+])
+def test_readme_example_session(monkeypatch, capsys, command, printed):
+    from fistab.cli import main
+
+    monkeypatch.chdir(ROOT)
+    program, *argv = shlex.split(command)
+    assert program == "fistab"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_public_names_are_what_demos_and_readme_use():
