@@ -31,15 +31,30 @@ with their leading columns mostly rising, so they are fed to the echelon
 last first.  A new pivot then almost always lies left of every kept
 pivot, and no kept row has an entry there to clear: on E at n = 10 the
 595 independent rows clear 1,021 earlier rows, against 17,198 when fed
-first to last.  The echelon keeps its basis fully reduced as rows
-arrive: every basis row is zero at every other row's pivot.  The trace
-on the relation image relies on that invariant, because it makes the
-coordinate of an image vector on a basis row the vector's value at that
-row's pivot, over the pivot value.  With the basis, evaluation keeps a
-trace plan: each basis row, the injection at its pivot, and L over its
-pivot value, L the lcm of the pivot values.  A trace then sums plain
-ints and divides once by L.  The dense relation matrix is built only in
-the tests, as the reference the ranks are checked against.
+first to last.  The dense relation matrix is built only in the tests,
+as the reference the ranks are checked against.
+
+Traces are taken on the cokernel side.  The echelon keeps its basis
+fully reduced as rows arrive: every basis row is zero at every other
+row's pivot.  So the free (non-pivot) columns are a basis of M[n], and
+the basis row with pivot column p and pivot value v says that, in the
+cokernel, e_p = -(1/v) sum over free f of row[f] e_f.  The trace of
+sigma sums, over the free columns f, the coefficient of e_f in
+e_{sigma o f}: 1 when sigma o f = f, 0 when sigma o f is another free
+column, and -row[f] / v when sigma o f is the pivot p.  With the basis,
+evaluation keeps a trace plan: each free column with its injection, and
+each pivot column with its basis row and L over its pivot value, L the
+lcm of the pivot values.  A trace then sums plain ints and divides once
+by L.  A generator with no relation entry of degree at most n has only
+free columns, and none lies in a basis row; it stays out of the plan
+and adds the injections sigma fixes, falling_factorial(fixed points, x)
+for its degree x, so a free module costs one term per generator.  A
+trace reads as many columns as the cokernel has dimensions: on E at
+n = 10, 125, where the image side read its 595 basis rows; on the
+triangle at n = 16, 15 against 225; on ``rational2`` at n = 8, 1 against
+391.  Where the cokernel is the larger side it reads more: one entry
+summing the three cyclic shifts of [1 2 3] on a generator of degree 3,
+at n = 10, has rank 240 and a cokernel of dimension 480.
 
 Decomposition takes one trace per vector (c_1, ..., c_g) of the numbers
 of cycles of each length up to g, the largest generator degree, weighted
@@ -65,7 +80,6 @@ with FISTAB_ORACLE_CAP (:mod:`fistab.budget`).  The budget is checked on
 every call, before the cache of evaluated degrees is consulted.
 """
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial, gcd, lcm
@@ -82,7 +96,6 @@ from .combinatorics import (
     falling_factorial,
     hook_length_count,
     horizontal_strip_removals,
-    inverse,
     monotone_injections,
     partitions,
 )
@@ -97,14 +110,20 @@ class DegreeEvaluation(Record):
 
     The module at this degree is the cokernel of the relation matrix on
     injection bases; its dimension is the ambient dimension minus the
-    matrix rank.  ``_plan`` holds the reduced image basis, one entry per
-    row: the row, its generator's offset and index of injections, the
-    injection at its pivot, and ``_scale`` over its pivot value, where
-    ``_scale`` is the lcm of the pivot values.  The repr shows n,
-    ambient_dim and rank only.
+    matrix rank.  The trace plan is on the cokernel side (see the module
+    docstring).  ``_pivots`` maps each pivot column of the reduced image
+    basis to its basis row and ``_scale`` over its pivot value, where
+    ``_scale`` is the lcm of the pivot values.  ``_plan`` lists each
+    free column of the generators with a relation entry of degree at
+    most n, with its generator's offset and index of injections and its
+    injection.  ``_free`` holds the degrees of the other generators,
+    whose columns are all free and lie in no basis row.  The repr shows
+    n, ambient_dim and rank only.
     """
 
-    __slots__ = ("n", "ambient_dim", "rank", "_z", "_plan", "_scale")
+    __slots__ = (
+        "n", "ambient_dim", "rank", "_z", "_free", "_plan", "_pivots", "_scale",
+    )
 
     def __repr__(self):
         return (
@@ -116,36 +135,33 @@ class DegreeEvaluation(Record):
     def cokernel_dim(self) -> int:
         return self.ambient_dim - self.rank
 
-    def _image_trace(self, sigma) -> int:
-        """Trace of a permutation restricted to the relation image, times
-        ``_scale``.
-
-        The image is stable under the action.  The basis is fully
-        reduced, so the coefficient of basis row l in any image vector v
-        is v at l's pivot coordinate, divided by the pivot value; times
-        ``_scale``, that is an int.
-        """
-        # point v -> sigma^-1(v), so mapping an injection composes it
-        sigma_inv = (0, *inverse(sigma)).__getitem__
-        return sum(
-            weight * row.get(offset + index[tuple(map(sigma_inv, injection))], 0)
-            for row, offset, index, injection, weight in self._plan
-        )
-
     def permutation_trace(self, sigma) -> int:
-        """Character of the module at this degree, on any permutation."""
+        """Character of the module at this degree, on any permutation.
+
+        Summed over the free columns, times ``_scale``, so every term is
+        an int: ``_scale`` for each free column sigma fixes, and for each
+        free column f that sigma moves to a pivot, minus the pivot's
+        weight times its basis row at f.  Each relation-free generator
+        adds ``_scale`` times the injections sigma fixes.
+        """
         sigma = check_permutation(sigma)
         if len(sigma) != self.n:
             raise ValueError(f"permutation of {len(sigma)} points at degree {self.n}")
         fixed = sum(1 for i, v in enumerate(sigma, start=1) if v == i)
-        ambient = sum(
-            falling_factorial(fixed, x) for x in self._z.generator_degrees
-        )
-        scaled = ambient * self._scale - self._image_trace(sigma)
-        trace, remainder = divmod(scaled, self._scale)
+        scale, pivots = self._scale, self._pivots
+        scaled = scale * sum(falling_factorial(fixed, x) for x in self._free)
+        act = (0, *sigma).__getitem__
+        for col, offset, index, injection in self._plan:
+            moved = offset + index[tuple(map(act, injection))]
+            if moved == col:
+                scaled += scale
+            elif moved in pivots:
+                row, weight = pivots[moved]
+                scaled -= weight * row.get(col, 0)
+        trace, remainder = divmod(scaled, scale)
         if remainder:
             raise ArithmeticError(
-                f"non-integer character value {Fraction(scaled, self._scale)} "
+                f"non-integer character value {Fraction(scaled, scale)} "
                 f"for {sigma}"
             )
         return trace
@@ -401,6 +417,7 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     # each kept row, as its columns and its values, in the order of the
     # first injection that gave it
     kept: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
+    related: set[int] = set()
     for j, y in enumerate(z.relation_degrees):
         column = [
             (i, z.entries[(i, j)].terms)
@@ -409,6 +426,7 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
         ]
         if not column or y > n:
             continue
+        related.update(i for i, _ in column)
         # Scaling a relation column by the lcm of its denominators keeps
         # the span, and every row it gives is then a row of ints.
         scale = lcm(*(c.denominator for _, terms in column for c in terms.values()))
@@ -437,17 +455,24 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     basis = Echelon()
     for columns, values in reversed(kept):
         basis.add_row(dict(zip(columns, values)))
-    # each basis row with its pivot column and its generator
-    pivots = [
-        (basis.rows[idx], col, bisect_right(offsets, col) - 1)
+    # each pivot column with its basis row and L over its pivot value;
+    # the free columns of the generators with a relation, each with its
+    # generator's offset and index of injections and its injection
+    scale = lcm(*(basis.rows[idx][col] for col, idx in basis.pivots.items()))
+    pivots = {
+        col: (basis.rows[idx], scale // basis.rows[idx][col])
         for col, idx in basis.pivots.items()
-    ]
-    scale = lcm(*(row[col] for row, col, _ in pivots))
+    }
     plan = tuple(
-        (row, offsets[i], index[i], injections[i][col - offsets[i]], scale // row[col])
-        for row, col, i in pivots
+        (offsets[i] + a, offsets[i], index[i], f)
+        for i in sorted(related)
+        for a, f in enumerate(injections[i])
+        if offsets[i] + a not in pivots
     )
-    return DegreeEvaluation(n, total, basis.rank, z, plan, scale)
+    free = tuple(
+        x for i, x in enumerate(z.generator_degrees) if i not in related
+    )
+    return DegreeEvaluation(n, total, basis.rank, z, free, plan, pivots, scale)
 
 
 def evaluate_degree(z: PresentationMatrix, n: int) -> DegreeEvaluation:

@@ -16,17 +16,20 @@ the reduced row echelon form of the rows' span, whatever order the rows
 came in.  Because the basis is reduced, a new row is reduced in one pass:
 its value at each pivot it hits, over that pivot value, is the multiplier
 of that basis row.  An independent row then clears its pivot column, in
-place, from the rows already kept.  The basis does not depend on the
-order the rows are fed in, but the cost does: a pivot left of every kept
-pivot has nothing to clear.  ``RationalMatrix.rank`` and the oracle get
+place, from the rows already kept.  It finds them through a column
+index, which maps each column off the pivots to the set of basis rows
+nonzero there: the rows to clear are the set at the new pivot, with no
+scan of the basis.  The basis does not depend on the order the rows are
+fed in, but the cost does: a pivot left of every kept pivot has nothing
+to clear.  ``RationalMatrix.rank`` and the oracle get
 rows whose leading columns mostly rise, so they feed them last first.
 The closed form ranks the transports of the integral cores its
 fraction-free elimination of unit pivots leaves (see
 :mod:`fistab.presentation`); last first is no slower there: on
 cyclic-9's cores it took 61 ms against 69 ms fed first first (2-core
-VM, Python 3.11).  The oracle relies on the invariant to read the
-coordinate of an image vector on a basis row straight off that row's
-pivot; its traces are what the reduced basis is kept for.
+VM, Python 3.11).  The oracle relies on the invariant to write each
+pivot column, in its cokernel, in the free columns, straight off that
+column's basis row; its traces are what the reduced basis is kept for.
 
 The transported matrices of the closed form are a few percent nonzero,
 and so are the relation matrices of the brute-force oracle, which feeds
@@ -71,20 +74,25 @@ class Echelon:
     ``rows[pivots[c]]`` is the basis row with pivot column c: its first
     column is c, its value there is positive, its content is 1, and it is
     zero at every other pivot column.  ``pivots`` lists the pivot columns
-    in the order of ``rows``.
+    in the order of ``rows``, and ``leads[i]`` is the pivot column of
+    ``rows[i]``.  The column index ``holders`` maps each column off the
+    pivots that some basis row uses to the set of the indices of the rows
+    nonzero there; no pivot column is a key.
 
-    The basis is kept reduced for the oracle's traces, which read the
-    coordinate of a vector on a basis row straight off its pivot.  The
+    The basis is kept reduced for the oracle's traces, which write each
+    pivot column in the free columns straight off its basis row.  The
     basis, as a map from pivot column to row, is the same for any order
     the rows are fed in; only the order of ``rows`` follows the feed.
-    The cost does depend on the order.  Rows whose leading columns fall are the cheap order: each
-    new pivot then lies left of the kept pivots, where the kept rows are
-    almost always zero.
+    The cost does depend on the order.  Rows whose leading columns fall
+    are the cheap order: each new pivot then lies left of the kept
+    pivots, where the kept rows are almost always zero.
     """
 
     def __init__(self):
         self.rows: list[dict[int, int]] = []
         self.pivots: dict[int, int] = {}
+        self.leads: list[int] = []
+        self.holders: dict[int, set[int]] = {}
 
     def add_row(self, row: dict[int, int]) -> bool:
         """Reduce a row against the basis; keep it if independent.
@@ -95,10 +103,12 @@ class Echelon:
         subtracted L * row[c] / p times, all in one pass into one new dict.
         An independent row then clears its pivot column, in place, from
         every kept row that is nonzero there, which is the cost a feed in
-        falling order of leading columns avoids.  The given dict is never
-        changed.
+        falling order of leading columns avoids.  Those rows are the
+        index's set at the new pivot; the index follows each column a
+        cleared row gains or loses, and the new row's columns.  The given
+        dict is never changed.
         """
-        rows, pivots = self.rows, self.pivots
+        rows, pivots, leads, holders = self.rows, self.pivots, self.leads, self.holders
         hits = [(rows[pivots[c]], c, v) for c, v in row.items() if c in pivots]
         scale = lcm(*(other[c] for other, c, _ in hits))
         new = {k: v * scale for k, v in row.items()}
@@ -116,22 +126,34 @@ class Echelon:
         if c != 1:
             new = {k: v // c for k, v in new.items()}
         b = new[lead]
-        for col, other in zip(pivots, rows):
-            if lead not in other:
-                continue
+        # the new row holds its columns before any kept row is cleared, so
+        # a column a cleared row loses is still held by the new row
+        r_new = len(rows)
+        for k in new:
+            if k != lead:
+                holders.setdefault(k, set()).add(r_new)
+        for r in holders.pop(lead, ()):
+            other = rows[r]
             a, size = other[lead], len(other)
             g = gcd(a, b)
             m1, m2 = b // g, a // g
-            pivot = other[col]
+            pivot = other[leads[r]]
             if m1 != 1:
                 for k in other:
                     other[k] *= m1
             for k, w in new.items():
-                x = other.get(k, 0) - m2 * w
-                if x:
-                    other[k] = x
+                v = other.get(k)
+                if v is None:
+                    other[k] = -m2 * w
+                    holders[k].add(r)
+                    continue
+                v -= m2 * w
+                if v:
+                    other[k] = v
                 else:
                     del other[k]
+                    if k != lead:
+                        holders[k].remove(r)
             # the content divides the old pivot value: a common prime of
             # the content and m1 would divide every entry of the new row
             if pivot != 1:
@@ -142,8 +164,9 @@ class Echelon:
             # deleting keys never shrinks a dict's table, so a row that
             # shrank is copied into a table sized for what it holds
             if len(other) < size:
-                rows[pivots[col]] = dict(other)
-        pivots[lead] = len(rows)
+                rows[r] = dict(other)
+        pivots[lead] = r_new
+        leads.append(lead)
         rows.append(new)
         return True
 

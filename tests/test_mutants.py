@@ -7,7 +7,11 @@ module still bound to the original, so a mutant of shared code reaches
 both the closed form and the oracle.  Test modules keep the original,
 so the references they compute stay unmutated.
 
-Four checks look for a mutant (``CHECKS``):
+The corpus and the core corank check's input are built as
+``PresentationMatrix`` values, not parsed, so a fault of the parser
+cannot rewrite them; ``test_corpus_is_the_parsed_text`` ties each one
+that has a text form to that text.  Four checks look for a mutant
+(``CHECKS``):
 
 - ``verify`` fails or raises on some presentation of the corpus;
 - ``feed``: the rows the oracle feeds its echelon at degrees up to 6
@@ -40,8 +44,8 @@ import fistab.presentation as presentation
 import fistab.ratmat as ratmat
 
 from conftest import E_FILE, free_module
-from test_oracle import TRIANGLE, all_injection_feed, fed_rows, primitive, workloads
-from test_reduction import NAMED, corank_mismatches, one_pivot_cases, one_step_failures
+from test_oracle import all_injection_feed, fed_rows, primitive, workloads
+from test_reduction import corank_mismatches, one_pivot_cases, one_step_failures
 import test_cli
 import test_presentation
 import test_ratmat
@@ -63,10 +67,34 @@ def symmetriser_beside(sigma) -> PresentationMatrix:
     })
 
 
+def cyclic_matrix(x: int, coefficients=(1,)) -> PresentationMatrix:
+    """The presentation of ``workloads.cyclic(x, coefficients)``, built
+    without the parser: one generator of degree x, one relation of degree
+    x + 1 and one entry summing the x + 1 cyclic shifts of [1 .. x], shift
+    k weighted by coefficients[k % len(coefficients)]."""
+    shifts = {
+        tuple((k + i) % (x + 1) + 1 for i in range(x)):
+            coefficients[k % len(coefficients)]
+        for k in range(x + 1)
+    }
+    return PresentationMatrix((x,), (x + 1,), {(0, 0): FormalSum(x, x + 1, shifts)})
+
+
+# The benchmark's rational2(0) (bench/workloads.py), built without the
+# parser.
+RATIONAL2 = PresentationMatrix((2, 3), (3, 4), {
+    (0, 0): FormalSum(2, 3, {(2, 3): Fraction(9, 4), (1, 2): Fraction(-9, 4)}),
+    (0, 1): FormalSum(2, 4, {(4, 2): Fraction(3, 8), (3, 2): Fraction(-3, 8)}),
+    (1, 0): FormalSum(3, 3, {(2, 1, 3): Fraction(3, 2), (3, 2, 1): Fraction(3, 4)}),
+    (1, 1): FormalSum(3, 4, {(3, 1, 4): Fraction(-9, 8), (3, 2, 1): Fraction(3, 2)}),
+})
+
+# Every presentation is built as a value, not parsed, so that a fault of
+# the parser cannot rewrite the corpus and with it the catch sets.
 CORPUS = {
-    "E": parse_presentation(E_FILE),
-    "triangle": TRIANGLE,
-    "rational2": parse_presentation(workloads.rational2(0)),
+    "E": cyclic_matrix(3),
+    "triangle": cyclic_matrix(2),
+    "rational2": RATIONAL2,
     "M(3)": free_module(3),
     # two generators of degree 1 tied by one relation of degree 2
     "two generators": PresentationMatrix((1, 1), (2,), {
@@ -75,20 +103,37 @@ CORPUS = {
     }),
     # unequal coefficients on the shifts, so a lift that replaces every
     # coefficient by 1 changes a corank
-    "cyclic-2 (1, 2)": parse_presentation(workloads.cyclic(2, (1, 2))),
+    "cyclic-2 (1, 2)": cyclic_matrix(2, (1, 2)),
     # the shifts' coefficients sum to 0, so a size-0 lift that keeps the
     # zero sum pivots on it and loses the empty shape's multiplicity
-    "cyclic-3 (1, -1)": parse_presentation(workloads.cyclic(3, (1, -1))),
+    "cyclic-3 (1, -1)": cyclic_matrix(3, (1, -1)),
     # rational shift coefficients, so a core that drops the denominators,
     # or does not scale an updated generator by the pivot's coefficient,
     # has a wrong corank
-    "cyclic-2 (1/2, 1)": parse_presentation(workloads.cyclic(2, (Fraction(1, 2), 1))),
-    "cyclic-3 (1, -3/2)": parse_presentation(workloads.cyclic(3, (1, Fraction(-3, 2)))),
+    "cyclic-2 (1/2, 1)": cyclic_matrix(2, (Fraction(1, 2), 1)),
+    "cyclic-3 (1, -3/2)": cyclic_matrix(3, (1, Fraction(-3, 2))),
     # the product taken in the other order, or with every placement
     # inverted, changes the (2, 1) multiplicity of the first; without
     # sigma^-1, or with every placement inverted, that of the second
     "symmetriser, pivot (1, 2, 3)": symmetriser_beside((1, 2, 3)),
     "symmetriser, pivot (2, 3, 1)": symmetriser_beside((2, 3, 1)),
+}
+
+CYCLIC_5_1_2 = cyclic_matrix(5, (1, 2))
+
+# Each presentation above that the benchmark, the demos or the other
+# tests read from text, with that text.
+PARSED = {
+    **{name: (CORPUS[name], text) for name, text in [
+        ("E", E_FILE),
+        ("triangle", workloads.inputs(0)["triangle"]),
+        ("rational2", workloads.rational2(0)),
+        ("cyclic-2 (1, 2)", workloads.cyclic(2, (1, 2))),
+        ("cyclic-3 (1, -1)", workloads.cyclic(3, (1, -1))),
+        ("cyclic-2 (1/2, 1)", workloads.cyclic(2, (Fraction(1, 2), 1))),
+        ("cyclic-3 (1, -3/2)", workloads.cyclic(3, (1, Fraction(-3, 2)))),
+    ]},
+    "core corank: cyclic-5 (1, 2)": (CYCLIC_5_1_2, workloads.cyclic(5, (1, 2))),
 }
 
 SPAN_KEPT = "keeps the span of the relation rows, and with it every output"
@@ -141,6 +186,15 @@ MUTANTS = {
         "enumerate(sources[s.source], gen_starts[i])",
         "enumerate(sources[s.source], gen_starts[0])",
     )], {"verify", "one pivot", "core corank"}, ""),
+    "relation-free generators' term dropped": (
+        oracle, "DegreeEvaluation.permutation_trace", [(
+            "scaled = scale * sum(falling_factorial(fixed, x) for x in self._free)",
+            "scaled = 0",
+        )], {"verify"}, ""),
+    "a pivot's weight taken as 1": (oracle, "_evaluate", [(
+        "col: (basis.rows[idx], scale // basis.rows[idx][col])",
+        "col: (basis.rows[idx], 1)",
+    )], {"verify"}, ""),
     # code that both routes share
     "partitions drops (1, 1, 1)": (combinatorics, "partitions", [(
         "return tuple(gen(k, k, ()))",
@@ -153,6 +207,9 @@ MUTANTS = {
     "echelon drops every 50th row": (ratmat, "Echelon.add_row", [(
         "if not new:", "if not new or len(rows) % 50 == 49:",
     )], {"verify"}, ""),
+    "a cleared row's new column not indexed": (ratmat, "Echelon.add_row", [(
+        "holders[k].add(r)", "pass",
+    )], {"verify", "feed", "core corank"}, ""),
     "integral Fractions kept": (ratmat, "_norm", [(
         "return int(v) if v.denominator == 1 else v", "return v",
     )], set(), "only the number type changes"),
@@ -167,9 +224,9 @@ MUTANTS = {
         "list(combinations(range(1, n + 1), k))",
         "list(combinations(range(1, n + 1), k))[::-1]",
     )], set(), "only the order of each basis changes, and no rank depends on it"),
-    # the file format: the corpus is parsed once, unmutated, but parsed
-    # again inside a check it would not help, since 4 of its presentations
-    # change after a serialize/parse round trip and verify passes on each
+    # the file format: the corpus is built without the parser, and parsing
+    # it inside a check would not help, since 4 of its presentations change
+    # after a serialize/parse round trip and verify passes on each
     "parser reads '-' as '+'": (presentation, "_parse_terms", [(
         'sign = -1 if match.group("sep") == "-" else 1', "sign = 1",
     )], set(), "both routes read the one parsed presentation, so no "
@@ -240,7 +297,7 @@ CHECKS = {
     "verify": lambda: any(not verify(z).passed for z in CORPUS.values()),
     "feed": feed_differs,
     "one pivot": lambda: bool(one_step_failures(one_pivot_cases())),
-    "core corank": lambda: bool(corank_mismatches(NAMED["cyclic-5 (1, 2)"])),
+    "core corank": lambda: bool(corank_mismatches(CYCLIC_5_1_2)),
 }
 
 
@@ -259,6 +316,12 @@ def fresh(monkeypatch):
     yield monkeypatch
     monkeypatch.undo()
     clear_caches()
+
+
+@pytest.mark.parametrize("name", list(PARSED))
+def test_corpus_is_the_parsed_text(name):
+    value, text = PARSED[name]
+    assert value == parse_presentation(text)
 
 
 @pytest.mark.parametrize("check", list(CHECKS))

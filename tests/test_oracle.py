@@ -170,12 +170,25 @@ def per_pivot_trace(ev, sigma) -> Fraction:
 
 
 def plan_pivot_rows(ev) -> dict[int, dict[int, int]]:
-    """The basis in an evaluation's trace plan, each row keyed by the
-    flat index of the injection at its pivot."""
-    return {
-        offset + index[injection]: row
-        for row, offset, index, injection, _ in ev._plan
-    }
+    """The basis in an evaluation's trace plan, each row keyed by its
+    pivot column."""
+    return {col: row for col, (row, _) in ev._pivots.items()}
+
+
+def assert_plan_layout(ev) -> None:
+    """Each pivot's weight times its pivot value is the scale; the plan
+    lists each free column of a generator with a relation once, at its
+    injection; and the relation-free generators' injections make up the
+    rest of the ambient basis."""
+    for col, (row, weight) in ev._pivots.items():
+        assert weight * row[col] == ev._scale
+    columns = [col for col, *_ in ev._plan]
+    assert len(set(columns)) == len(columns)
+    assert not set(columns) & set(ev._pivots)
+    for col, offset, index, injection in ev._plan:
+        assert offset + index[injection] == col
+    free = sum(falling_factorial(ev.n, x) for x in ev._free)
+    assert len(columns) + ev.rank + free == ev.ambient_dim
 
 
 # The benchmark's triangle presentation (bench/workloads.py).
@@ -191,9 +204,24 @@ NON_UNIT_PIVOTS = PresentationMatrix((1, 2), (3,), {
 })
 
 
+# A generator of degree 2 with no relation, beside one of degree 1 with
+# the relation [1] - 2[2]: the first one's columns stay out of the plan.
+RELATION_FREE_BESIDE = PresentationMatrix((2, 1), (2,), {
+    (1, 0): FormalSum(1, 2, {(1,): 1, (2,): -2}),
+})
+
+# The only relation has degree 5, so below it the generator is free.
+RELATION_ABOVE = PresentationMatrix((2,), (5,), {
+    (0, 0): FormalSum(2, 5, {(1, 2): 1, (3, 4): 1, (5, 1): -1}),
+})
+
+
 def _trace_presentations():
     rng = random.Random(67)
-    return [parse_presentation(E_FILE), TRIANGLE, NON_UNIT_PIVOTS] + [
+    return [
+        parse_presentation(E_FILE), TRIANGLE, NON_UNIT_PIVOTS,
+        RELATION_FREE_BESIDE, RELATION_ABOVE,
+    ] + [
         with_rational_terms(random_presentation(rng), rng) for _ in range(4)
     ] + [random_low_relation_presentation(rng) for _ in range(3)]
 
@@ -317,8 +345,7 @@ class TestRepeatedRows:
         assert ev.rank == reference.rank
         assert plan_pivot_rows(ev) == pivot_rows(reference)
         assert ev._scale == lcm(*(row[col] for col, row in pivot_rows(reference).items()))
-        for row, offset, index, injection, weight in ev._plan:
-            assert weight * row[offset + index[injection]] == ev._scale
+        assert_plan_layout(ev)
 
     @pytest.mark.parametrize("z,fed", [
         (NEGATED_REPEATS, 6), (SCALED_REPEATS, 12), (TRIANGLE, 8),
@@ -508,7 +535,7 @@ class TestEchelonFeed:
         first = evaluate_degree(e_presentation, 6)
         evaluate_degree.cache_clear()
         second = evaluate_degree(e_presentation, 6)
-        assert first is not second and first._plan is not second._plan
+        assert first is not second and first._pivots is not second._pivots
         assert first == second
         assert evaluate_degree(e_presentation, 5) != second
         evaluate_degree.cache_clear()
@@ -666,14 +693,15 @@ class TestTracePlan:
         assert ev.permutation_trace(sigma) == per_pivot_trace(ev, sigma)
 
     def test_non_integer_trace_raises(self):
-        # one basis row of weight 1 over a scale of 2: the image trace of
-        # the identity comes out as 1/2, and the character as 1/2
+        # the basis row 2 e_1 - e_2 of weight 1 over a scale of 2, and the
+        # free column e_2: the transposition takes e_2 to e_1, which is
+        # e_2 / 2 in the cokernel, so the character comes out as 1/2
         ev = DegreeEvaluation(
-            1, 1, 1, PresentationMatrix((1,), ()),
-            (({0: 1}, 0, {(1,): 0}, (1,), 1),), 2,
+            2, 2, 1, PresentationMatrix((1,), ()), (),
+            ((1, 0, {(1,): 0, (2,): 1}, (2,)),), {0: ({0: 2, 1: -1}, 1)}, 2,
         )
         with pytest.raises(ArithmeticError, match="non-integer character value 1/2"):
-            ev.permutation_trace((1,))
+            ev.permutation_trace((2, 1))
 
 
 class TestDecompose:

@@ -231,8 +231,9 @@ class TestEchelon:
     @given(small_matrices)
     def test_basis_stays_reduced(self, data):
         # after every insert each basis row starts at its own positive
-        # pivot, is zero at every other pivot and has content 1, and the
-        # rank is that of the rows added so far
+        # pivot, is zero at every other pivot and has content 1, the rank
+        # is that of the rows added so far, and the column index holds
+        # the true supports
         rows, ncols = data
         echelon = Echelon()
         for count, row in enumerate(rows, start=1):
@@ -246,6 +247,14 @@ class TestEchelon:
                 assert min(basis_row) == col and basis_row[col] > 0
                 assert gcd(*basis_row.values()) == 1
                 assert not (set(echelon.pivots) - {col}) & set(basis_row)
+            # the column index: each row's pivot column, and each column
+            # off the pivots with exactly the rows nonzero there
+            assert echelon.leads == list(echelon.pivots)
+            supports = {}
+            for idx, basis_row in enumerate(echelon.rows):
+                for k in set(basis_row) - set(echelon.pivots):
+                    supports.setdefault(k, set()).add(idx)
+            assert echelon.holders == supports
 
     @settings(max_examples=200, deadline=None)
     @given(small_matrices, st.randoms(use_true_random=False))
