@@ -336,14 +336,19 @@ def _check_class_budget(n: int) -> None:
 
     Decomposing groups every class by its numbers of short cycles and
     sums the fixed tabloids of every top shape over every group; both
-    number at most p(n), so the budget bounds p(n)^2.  The counts p(m)
-    grow with m and are taken from m = 0 up, stopping at the first one
-    over the budget, so a huge degree is refused without enumerating its
-    partitions.
+    number at most p(n), so the budget bounds p(n)^2.  Euler's pentagonal
+    number recurrence counts p(m) from m = 0 up, enumerating no
+    partition, and stops at the first count over the budget.
     """
     budget = 100 * row_cap()
+    counts: list = []
     for m in range(n + 1):
-        classes = len(partitions(m))
+        classes = sum(
+            (-1) ** (k + 1) * counts[m - j]
+            for k in range(1, m + 1)
+            for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if j <= m
+        ) if m else 1
+        counts.append(classes)
         if classes * classes > budget:
             at_least = "" if m == n else "at least "
             raise ResourceCapError(

@@ -63,26 +63,36 @@ from .record import Record, _restore
 from .specht import specht_action, specht_rows
 
 
+def _check_ints(values, noun: str, owner: str = "") -> None:
+    """Refuse a value that is not an int (a bool is one), naming it."""
+    for v in values:
+        if not isinstance(v, int):
+            raise TypeError(f"{noun} {v!r}{owner} is not an int")
+
+
 class FormalSum(Record):
     """A finite rational linear combination of injections [x] -> [y].
 
     ``terms`` maps injection tuples to nonzero coefficients, made from
-    exact inputs only (a float raises TypeError): an int where integral,
-    as in a RationalMatrix, and a Fraction otherwise.  Zero coefficients
-    are dropped on construction, so equality of sums is equality of
-    (source, target, terms).  The hash is taken over the sorted terms, as
-    ``terms`` is a dict; an int and its equal Fraction hash alike.
+    exact inputs only: an int where integral, as in a RationalMatrix, and
+    a Fraction otherwise.  A float coefficient, or an arity or image that
+    is not an int, raises TypeError.  Zero coefficients are dropped on
+    construction, so equality of sums is equality of (source, target,
+    terms).  The hash is taken over the sorted terms, as ``terms`` is a
+    dict; an int and its equal Fraction hash alike.
     """
 
     __slots__ = ("source", "target", "terms")
 
     def __init__(self, source: int, target: int, terms=None):
+        _check_ints((source, target), "arity")
         if source < 0 or target < 0:
             raise ValueError("arities must be non-negative")
         merged: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else (terms or ())
         for images, coeff in items:
             images = tuple(images)
+            _check_ints(images, "image", f" of injection {images}")
             if len(images) != source:
                 raise ValueError(
                     f"injection {images} does not have arity {source}"
@@ -121,9 +131,9 @@ class PresentationMatrix(Record):
     """Generator degrees, relation degrees, and a sparse grid of FormalSums.
 
     ``entries`` maps 0-indexed (generator, relation) pairs to FormalSums;
-    absent or zero entries mean the zero combination.  Either list of
-    degrees may be empty.  The hash is taken over the sorted entries, as
-    ``entries`` is a dict.
+    absent or zero entries mean the zero combination.  A degree that is
+    not an int raises TypeError.  Either list of degrees may be empty.
+    The hash is taken over the sorted entries, as ``entries`` is a dict.
     """
 
     __slots__ = ("generator_degrees", "relation_degrees", "entries")
@@ -131,6 +141,7 @@ class PresentationMatrix(Record):
     def __init__(self, generator_degrees, relation_degrees, entries=None):
         generator_degrees = tuple(generator_degrees)
         relation_degrees = tuple(relation_degrees)
+        _check_ints(generator_degrees + relation_degrees, "degree")
         if any(d < 0 for d in generator_degrees + relation_degrees):
             raise ValueError("degrees must be non-negative")
         cleaned: dict[tuple[int, int], FormalSum] = {}
@@ -449,14 +460,13 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
     coefficients.  Column q is zero except at p, so dropping generator p
     and relation q leaves every shape's corank unchanged.
 
-    Pivots go in Markowitz order, fewest (entries of the row - 1) *
-    (entries of the column - 1) first, ties by (generator, relation)
-    index; a heap holds one candidate for each unit entry of each row and
-    column whose count changed, and a popped candidate whose cost no
-    longer holds is skipped.  The first pivot that would take the number
-    of terms above the starting number ends the elimination.  What is
-    left, the core, is returned with generators and relations renumbered
-    in their order.
+    Sweeps over the live generators, in index order, take the pivots: a
+    generator with a unit entry pivots on the unit whose relation has the
+    fewest live entries, the lowest relation first on a tie.  Sweeps
+    repeat until one takes no pivot, as a pivot can make a unit in a
+    generator already passed.  The first pivot that would take the number
+    of terms above the starting number ends the elimination.  The core
+    left is returned with generators and relations renumbered in order.
     """
     rows, ncols = _lift(z, k)
     cols: list = [set() for _ in range(ncols)]
@@ -467,80 +477,65 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
             for sigma, c in entry.items():
                 entry[sigma] = c.numerator * (scale // c.denominator)
 
-    # imported here, so that ``import fistab.cli`` loads no more modules
-    from heapq import heappop, heappush
-
-    heap: list = []
-
-    def push(r, q):
-        if len(rows[r][q]) == 1:
-            heappush(heap, ((len(rows[r]) - 1) * (len(cols[q]) - 1), r, q))
-
-    for r, row in enumerate(rows):
-        for q in row:
-            push(r, q)
     terms = limit = sum(len(entry) for row in rows for entry in row.values())
-    while heap:
-        cost, p, q = heappop(heap)
-        row = rows[p]
-        if (row is None or len(row.get(q, ())) != 1
-                or cost != (len(row) - 1) * (len(cols[q]) - 1)):
-            continue
-        (sigma, c), = row[q].items()
-        back = inverse(sigma)
-        # each term w * beta of row p as w and the padded beta o sigma^-1
-        pivot_row = [
-            (q2, [(w, (0,) + compose(beta, back)) for beta, w in entry.items()])
-            for q2, entry in row.items() if q2 != q
-        ]
-        change = -sum(map(len, row.values()))
-        updates = []
-        for r in cols[q]:
-            if r == p:
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for p, row in enumerate(rows):
+            units = [(len(cols[q]), q) for q, e in (row or {}).items() if len(e) == 1]
+            if not units:
                 continue
-            other = rows[r]
-            column_entry = other[q]
-            change -= len(column_entry)
-            # c times row r, less the sum of w * a * beta o sigma^-1 o alpha
-            updated = {
-                q2: entry if c == 1 else {t: c * v for t, v in entry.items()}
-                for q2, entry in other.items() if q2 != q
-            }
-            for q2, products in pivot_row:
-                old = updated.pop(q2, {})
-                new = dict(old)
-                for w, g in products:
-                    for alpha, a in column_entry.items():
-                        key = tuple(map(g.__getitem__, alpha))
-                        new[key] = new.get(key, 0) - w * a
-                new = {tau: v for tau, v in new.items() if v}
-                change += len(new) - len(old)
-                if new:
-                    updated[q2] = new
-            content = gcd(*(v for e in updated.values() for v in e.values()))
-            if content > 1:
-                updated = {q2: {t: v // content for t, v in entry.items()}
-                           for q2, entry in updated.items()}
-            updates.append((r, updated))
-        if terms + change > limit:
-            break
-        terms += change
-        rows[p] = None
-        for q2 in row:
-            cols[q2].discard(p)
-        for r, updated in updates:
-            for q2 in rows[r]:
-                cols[q2].discard(r)
-            for q2 in updated:
-                cols[q2].add(r)
-            rows[r] = updated
-        cols[q] = None
-        for r, updated in updates:
-            for q2 in updated:
-                push(r, q2)
-        for q2, _ in pivot_row:
-            for r in cols[q2]:
-                push(r, q2)
+            q = min(units)[1]
+            (sigma, c), = row[q].items()
+            back = inverse(sigma)
+            # each term w * beta of row p as w and the padded beta o sigma^-1
+            pivot_row = [
+                (q2, [(w, (0,) + compose(beta, back)) for beta, w in entry.items()])
+                for q2, entry in row.items() if q2 != q
+            ]
+            change = -sum(map(len, row.values()))
+            updates = []
+            for r in cols[q]:
+                if r == p:
+                    continue
+                other = rows[r]
+                column_entry = other[q]
+                change -= len(column_entry)
+                # c times row r, less the sum of w * a * beta o sigma^-1 o alpha
+                updated = {
+                    q2: entry if c == 1 else {t: c * v for t, v in entry.items()}
+                    for q2, entry in other.items() if q2 != q
+                }
+                for q2, products in pivot_row:
+                    old = updated.pop(q2, {})
+                    new = dict(old)
+                    for w, g in products:
+                        for alpha, a in column_entry.items():
+                            key = tuple(map(g.__getitem__, alpha))
+                            new[key] = new.get(key, 0) - w * a
+                    new = {tau: v for tau, v in new.items() if v}
+                    change += len(new) - len(old)
+                    if new:
+                        updated[q2] = new
+                content = gcd(*(v for e in updated.values() for v in e.values()))
+                if content > 1:
+                    updated = {q2: {t: v // content for t, v in entry.items()}
+                               for q2, entry in updated.items()}
+                updates.append((r, updated))
+            pivoted = terms + change <= limit
+            if not pivoted:
+                break
+            terms += change
+            rows[p] = None
+            for q2 in row:
+                cols[q2].discard(p)
+            for r, updated in updates:
+                for q2 in rows[r]:
+                    cols[q2].discard(r)
+                for q2 in updated:
+                    cols[q2].add(r)
+                rows[r] = updated
+            cols[q] = None
 
     kept_rows = [row for row in rows if row is not None]
     kept_cols = [q for q, col in enumerate(cols) if col is not None]

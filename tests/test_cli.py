@@ -35,6 +35,18 @@ def cyclic(x: int) -> str:
     return f"generators: {x}\nrelations: {x + 1}\nentry 1 1 : {shifts}\n"
 
 
+# one run of every command, FILE standing for a presentation file
+ONE_RUN_EACH = [
+    ["multiplicities", "FILE"],
+    ["dimension", "FILE"],
+    ["evaluate", "FILE", "--n", "5"],
+    ["decompose", "FILE", "--n", "5"],
+    ["verify", "FILE"],
+    ["specht", "--shape", "2,1", "--perm", "2,3,1"],
+    ["amatrix", "FILE", "--shape", "2,1"],
+]
+
+
 def _no_build(*args):
     raise AssertionError("a matrix was built before the cell budget was checked")
 
@@ -349,6 +361,26 @@ class TestCommands:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.startswith("usage: fistab")
+
+    def test_commands_load_only_locale(self, e_file):
+        # the README's claim: past ``import fistab.cli``, a command loads
+        # only what ``open`` needs to read its file
+        assert [args[0] for args in ONE_RUN_EACH] == list(fistab.cli.COMMANDS)
+        script = (
+            "import io, sys, contextlib, fistab.cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for args in {ONE_RUN_EACH!r}:\n"
+            f"        fistab.cli.main([a.replace('FILE', {e_file!r}) for a in args])\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert set(result.stdout.split()) <= {"locale", "_locale"}
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["multiplicities", "/nonexistent.fipres"]) == 2

@@ -49,6 +49,7 @@ from test_reduction import corank_mismatches, one_pivot_cases, one_step_failures
 import test_cli
 import test_presentation
 import test_ratmat
+import test_reduction
 
 
 def symmetriser_beside(sigma) -> PresentationMatrix:
@@ -161,10 +162,13 @@ MUTANTS = {
         "key = tuple(map(g.__getitem__, alpha))", "key = compose(alpha, g[1:])",
     )], {"verify", "one pivot"}, ""),
     "a two-term entry accepted as a pivot": (presentation, "_reduced_presentation", [
-        ("len(rows[r][q]) == 1", "len(rows[r][q]) <= 2"),
-        ("len(row.get(q, ())) != 1", "len(row.get(q, ())) not in (1, 2)"),
+        ("if len(e) == 1]", "if len(e) <= 2]"),
         ("(sigma, c), = row[q].items()", "(sigma, c), *_ = row[q].items()"),
     ], {"verify", "one pivot", "core corank"}, ""),
+    "term limit ignored": (presentation, "_reduced_presentation", [(
+        "pivoted = terms + change <= limit", "pivoted = True",
+    )], set(), "the limit bounds only the size of the core, and no corank "
+        "depends on where the elimination stops"),
     "updated generator not scaled by c": (presentation, "_reduced_presentation", [(
         "q2: entry if c == 1 else {t: c * v for t, v in entry.items()}", "q2: entry",
     )], {"verify", "one pivot", "core corank"}, ""),
@@ -245,6 +249,7 @@ SEEN_BY = {
     "parser reads '-' as '+'": [
         test_cli.TestParser().test_leading_minus_and_merging,
     ],
+    "term limit ignored": [test_reduction.test_term_limit_keeps_the_whole_lift],
 }
 
 

@@ -829,6 +829,24 @@ class TestDecompose:
         with pytest.raises(ResourceCapError, match="FISTAB_ORACLE_CAP"):
             decompose_at(z, 21)
 
+    def test_class_budget_enumerates_no_partition(self):
+        partitions.cache_clear()
+        oracle._check_class_budget(16)
+        assert partitions.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("cap", [1, 25, 5000, 100000])
+    def test_class_budget_refuses_from_the_first_degree_over(
+        self, monkeypatch, cap
+    ):
+        monkeypatch.setenv("FISTAB_ORACLE_CAP", str(cap))
+        first = next(n for n in range(100) if len(partitions(n)) ** 2 > 100 * cap)
+        for n in range(first):
+            oracle._check_class_budget(n)
+        with pytest.raises(
+            ResourceCapError, match=f"degree {first} has {len(partitions(first))} "
+        ):
+            oracle._check_class_budget(first)
+
     def test_class_budget_is_checked_before_any_trace(self, monkeypatch):
         def no_trace(self, mu):
             raise AssertionError("trace taken before the class budget")

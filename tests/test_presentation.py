@@ -85,6 +85,18 @@ class TestFormalSum:
         s = FormalSum(1, 2, {(1,): "1/3", (2,): Fraction(1, 2)})
         assert s.terms == {(1,): Fraction(1, 3), (2,): Fraction(1, 2)}
 
+    def test_rejects_non_int_arities(self):
+        with pytest.raises(TypeError, match=r"arity 2\.0 is not an int"):
+            FormalSum(1, 2.0)
+
+    def test_rejects_non_int_images(self):
+        # (1.0,) would equal (1,) and reach the oracle's slices
+        with pytest.raises(
+            TypeError, match=r"image 1\.0 of injection \(1\.0,\) is not an int"
+        ):
+            FormalSum(1, 2, {(1.0,): 1})
+        assert FormalSum(1, 2, {(True,): 1}) == FormalSum(1, 2, {(1,): 1})
+
     def test_integral_coefficients_are_ints(self):
         s = FormalSum(1, 2, {(1,): Fraction(4, 2), (2,): Fraction(1, 2)})
         assert type(s.terms[(1,)]) is int and s.terms[(1,)] == 2
@@ -104,6 +116,12 @@ class TestPresentationMatrix:
             PresentationMatrix((2,), (3,), {(0, 0): FormalSum(1, 3, {(1,): 1})})
         with pytest.raises(ValueError):
             PresentationMatrix((2,), (3,), {(0, 1): FormalSum(2, 3, {(1, 2): 1})})
+
+    def test_rejects_non_int_degrees(self):
+        with pytest.raises(TypeError, match=r"degree 2\.0 is not an int"):
+            PresentationMatrix((2.0,), ())
+        with pytest.raises(TypeError, match="degree '3' is not an int"):
+            PresentationMatrix((1,), ("3",))
 
     def test_degree_bounds(self, e_presentation):
         assert e_presentation.max_generator_degree == 3

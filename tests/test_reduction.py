@@ -73,6 +73,12 @@ NAMED = {
     "r < g": PresentationMatrix((3, 1), (2,), {
         (1, 0): FormalSum(1, 2, {(1,): 1, (2,): Fraction(-1, 2)}),
     }),
+    # at size 2 the first sweep pivots on generator 2 of the lift, which
+    # leaves a unit in generator 1, passed already: a second sweep takes it
+    "unit behind the sweep": PresentationMatrix((1, 3), (3,), {
+        (0, 0): FormalSum(1, 3, {(1,): -1}),
+        (1, 0): FormalSum(3, 3, {(1, 3, 2): 2, (2, 1, 3): -2, (3, 1, 2): 2}),
+    }),
     "several generators": PresentationMatrix((1, 1, 2), (2, 3), {
         (0, 0): FormalSum(1, 2, {(1,): 1, (2,): 1}),
         (1, 0): FormalSum(1, 2, {(2,): -1}),
@@ -95,6 +101,61 @@ def test_core_keeps_every_corank_on_the_random_corpora(draw):
     for _ in range(100):
         z = draw(rng)
         assert corank_mismatches(z) == [], z
+
+
+def units_left(z: PresentationMatrix) -> list:
+    """The sizes k and the (generator, relation) places of the unit
+    entries left in the cores of z."""
+    return [
+        (k, place)
+        for k in range(z.max_generator_degree + 1)
+        for place, s in presentation._reduced_presentation(z, k).entries.items()
+        if len(s.terms) == 1
+    ]
+
+
+# the corpora on which the term limit never stops the elimination
+SWEPT = [
+    *[f"cyclic-{x}" for x in range(3, 9)], "alternating6", "rational2",
+    "unit behind the sweep",
+]
+
+
+@pytest.mark.parametrize("name", SWEPT)
+def test_no_unit_is_left_in_a_core(name):
+    assert units_left(NAMED[name]) == []
+
+
+@pytest.mark.parametrize(
+    "draw", [random_presentation, random_low_relation_presentation]
+)
+def test_no_unit_is_left_in_a_core_of_the_random_corpora(draw):
+    rng = random.Random(18)
+    for _ in range(100):
+        z = draw(rng)
+        assert units_left(z) == [], z
+
+
+# The only unit is (1, 1), and pivoting on it would take the 13 terms of
+# the size-3 lift to more, so the core is the whole lift.
+LIMIT = parse_presentation("""\
+generators: 3 3 3
+relations: 3 3 3
+entry 1 1 : [1 2 3]
+entry 1 2 : [1 2 3] + 2*[2 1 3] - [2 3 1]
+entry 1 3 : [1 3 2] + 3*[3 1 2] + [3 2 1]
+entry 2 1 : [1 2 3] + [2 1 3] - 2*[1 3 2]
+entry 3 1 : [2 3 1] - [3 1 2] + 2*[3 2 1]
+""")
+
+
+def test_term_limit_keeps_the_whole_lift():
+    core = presentation._reduced_presentation(LIMIT, 3)
+    terms = sum(len(s.terms) for s in core.entries.values())
+    assert (core.num_generators, core.num_relations, terms) == (3, 3, 13)
+    for lam, corank in zip(partitions(3), (1, 2, 1)):
+        assert induced_raw_presentation(lam, LIMIT).corank() == corank
+        assert induced_raw_presentation(lam, core).corank() == corank
 
 
 # The size-0 lift of entry (0, 1) sums 1/2 + 3/2 to Fraction(2), an
@@ -163,10 +224,12 @@ def one_pivot_presentation(rng: random.Random, k: int) -> PresentationMatrix:
     """Four generators and three relations, all of degree k, whose only
     pivot is c * sigma at (0, 0), sigma not an involution.
 
-    The units are (0, 0), (0, 1) and (1, 0), at Markowitz costs 2, 2 and
-    4, so (0, 0) goes first.  It adds one product to the three terms of
-    (1, 1), which leaves at least two, and fills (3, 1) with two, so no
-    unit is left, and the number of terms falls.
+    The units are (0, 0), (0, 1) and (1, 0).  The sweep reaches generator
+    0 first, and its units (0, 0) and (0, 1) tie at three entries in
+    their relations, so the lower relation index, (0, 0), goes first.  It
+    adds one product to the three terms of (1, 1), which leaves at least
+    two, and fills (3, 1) with two, so no unit is left, and the number of
+    terms falls.
     """
     perms = symmetric_group(k)
     sigma = rng.choice([p for p in perms if compose(p, p) != identity(k)])
