@@ -93,7 +93,8 @@ def class_representative(mu: Partition) -> tuple[int, ...]:
 def monotone_injections(k: int, n: int) -> list[tuple[int, ...]]:
     """All strictly increasing injections [k] -> [n], lexicographically.
 
-    Empty when k > n; the single empty map when k = 0, for any n.
+    Empty when k > n; the single empty map when k = 0, for any n, both
+    before itertools allocates for n and k (the CLI passes n = 10**18).
     """
     if k < 0:
         raise ValueError(f"negative arity {k}")
@@ -106,7 +107,7 @@ def all_injections(k: int, n: int) -> list[tuple[int, ...]]:
     """All injections [k] -> [n] in lexicographic order.
 
     There are n(n-1)...(n-k+1) of them: none when k > n, and the single
-    empty map when k = 0, for any n.
+    empty map when k = 0, for any n, both before itertools allocates.
     """
     if k < 0:
         raise ValueError(f"negative arity {k}")

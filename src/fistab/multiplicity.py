@@ -117,10 +117,6 @@ class DimensionPolynomial(Record):
 
     __slots__ = ("coeffs", "onset")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else 0
-
     def __call__(self, n: int):
         value = sum((c * n**e for e, c in enumerate(self.coeffs)), Fraction(0))
         return int(value) if value.denominator == 1 else value

@@ -463,11 +463,8 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     # each pivot column with its basis row and L over its pivot value;
     # the free columns of the generators with a relation, each with its
     # generator's offset and index of injections and its injection
-    scale = lcm(*(basis.rows[idx][col] for col, idx in basis.pivots.items()))
-    pivots = {
-        col: (basis.rows[idx], scale // basis.rows[idx][col])
-        for col, idx in basis.pivots.items()
-    }
+    scale = lcm(*(row[col] for col, row in basis.pivots.items()))
+    pivots = {col: (row, scale // row[col]) for col, row in basis.pivots.items()}
     plan = tuple(
         (offsets[i] + a, offsets[i], index[i], f)
         for i in sorted(related)

@@ -21,10 +21,12 @@ fistab.specht).
 
 The transported matrix of a presentation is built in two steps.  The
 lift (``_lift``) rewrites z as its size-k presentation over Q[S_k],
-k = |lam|; it is the only code that places an injection.  The
-realisation (``_transport``) puts c times the block of sigma at (p, q)
-for each term c * sigma, each distinct Specht block built once by
-specht_rows as the (column, sign) pairs of its nonzero entries.
+k = |lam|; it is the only code that places an injection, and it only
+places terms: a sum that cancels stays, as a 0.  The realisation
+(``_transport``) puts c times the block of sigma at (p, q) for each term
+c * sigma, each distinct Specht block built once by specht_rows as the
+(column, sign) pairs of its nonzero entries; a 0 adds only zeros, which
+the matrix drops.
 ``induced_block_action`` (and ``induced_action`` for specht_action)
 realises the lift of one injection with a representation's matrix rows,
 stored as the same pairs.
@@ -372,8 +374,10 @@ def _lift(z: PresentationMatrix, k: int):
     of entry (i, j) puts c * sorting_permutation(f o p) at
     (p, monotone_part(f o p)); an entry sums c_f * sigma over the terms
     placed there.  Returns the generators, each a dict from relation to
-    entry, each entry a dict from permutation to the nonzero sum of the
-    coefficients placed there, and the number of relations.
+    entry, each entry a dict from permutation to the sum of the
+    coefficients placed there, and the number of relations.  A sum may
+    cancel to 0: the transport adds zeros for it, and the reduction drops
+    it.
     """
     gen_starts, nrows = _size_k_offsets(z.generator_degrees, k)
     rel_starts, ncols = _size_k_offsets(z.relation_degrees, k)
@@ -391,13 +395,6 @@ def _lift(z: PresentationMatrix, k: int):
                 entry = rows[r].setdefault(start + column[monotone_part(fp)], {})
                 sigma = sorting_permutation(fp)
                 entry[sigma] = entry.get(sigma, 0) + coeff
-    for row in rows:
-        for q, entry in list(row.items()):
-            entry = {sigma: c for sigma, c in entry.items() if c}
-            if entry:
-                row[q] = entry
-            else:
-                del row[q]
     return rows, ncols
 
 
@@ -447,8 +444,9 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
     eliminated fraction-free, over Z[S_k]: every coefficient is an int.
 
     Scaling a generator by a nonzero rational keeps every corank, so each
-    generator is first made integral by the lcm of its denominators.  A
-    unit entry c * sigma transports to c * specht_raw(lam, sigma) =
+    generator is first made integral by the lcm of its denominators; a sum
+    the lift left at 0 goes, and so does an entry left empty.  A unit
+    entry c * sigma transports to c * specht_raw(lam, sigma) =
     c * U X(sigma), U the raw matrix of the identity and X the action,
     which is invertible for every shape.  Pivoting on it at (p, q) is a
     block row operation: every other generator r with an entry a * alpha
@@ -472,10 +470,16 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
     cols: list = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
         scale = lcm(*(c.denominator for e in row.values() for c in e.values()))
-        for q, entry in row.items():
-            cols[q].add(r)
-            for sigma, c in entry.items():
-                entry[sigma] = c.numerator * (scale // c.denominator)
+        for q, entry in list(row.items()):
+            entry = {
+                sigma: c.numerator * (scale // c.denominator)
+                for sigma, c in entry.items() if c
+            }
+            if entry:
+                row[q] = entry
+                cols[q].add(r)
+            else:
+                del row[q]
 
     terms = limit = sum(len(entry) for row in rows for entry in row.values())
     pivoted = True

@@ -8,21 +8,22 @@ so no zero cell is ever allocated.
 
 Every rank in the package comes from :class:`Echelon`, an incremental
 exact integer row echelon over sparse rows (dicts from column to nonzero
-value) with the content of each row divided out.  The basis is kept
-fully reduced as rows arrive: each row is zero at every
-other row's pivot, its pivot is its first column and its pivot value is
-positive.  That makes the basis canonical, the primitive integer form of
-the reduced row echelon form of the rows' span, whatever order the rows
-came in.  Because the basis is reduced, a new row is reduced in one pass:
-its value at each pivot it hits, over that pivot value, is the multiplier
-of that basis row.  An independent row then clears its pivot column, in
-place, from the rows already kept.  It finds them through a column
-index, which maps each column off the pivots to the set of basis rows
-nonzero there: the rows to clear are the set at the new pivot, with no
-scan of the basis.  The basis does not depend on the order the rows are
-fed in, but the cost does: a pivot left of every kept pivot has nothing
-to clear.  ``RationalMatrix.rank`` and the oracle get
-rows whose leading columns mostly rise, so they feed them last first.
+value) with the content of each row divided out.  The basis is one map
+from each pivot column to its row, kept fully reduced as rows arrive:
+each row is zero at every other row's pivot, its pivot is its first
+column and its pivot value is positive.  That makes the basis canonical,
+the primitive integer form of the reduced row echelon form of the rows'
+span, whatever order the rows came in.  Because the basis is reduced, a
+new row is reduced in one pass: its value at each pivot it hits, over
+that pivot value, is the multiplier of that basis row.  An independent
+row then clears its pivot column, in place, from the rows already kept.
+It finds them through a column index, which maps each column off the
+pivots to the pivot columns of the basis rows nonzero there: the rows to
+clear are the set at the new pivot, with no scan of the basis.  The
+basis does not depend on the order the rows are fed in, but the cost
+does: a pivot left of every kept pivot has nothing to clear.
+``RationalMatrix.rank`` and the oracle get rows whose leading columns
+mostly rise, so they feed them last first.
 The closed form ranks the transports of the integral cores its
 fraction-free elimination of unit pivots leaves (see
 :mod:`fistab.presentation`); last first is no slower there: on
@@ -71,27 +72,24 @@ def _sparse_row(row) -> tuple:
 class Echelon:
     """Incremental exact integer row echelon over sparse rows.
 
-    ``rows[pivots[c]]`` is the basis row with pivot column c: its first
-    column is c, its value there is positive, its content is 1, and it is
-    zero at every other pivot column.  ``pivots`` lists the pivot columns
-    in the order of ``rows``, and ``leads[i]`` is the pivot column of
-    ``rows[i]``.  The column index ``holders`` maps each column off the
-    pivots that some basis row uses to the set of the indices of the rows
-    nonzero there; no pivot column is a key.
+    The basis is one map, ``pivots``, from each pivot column c to its
+    basis row: the row's first column is c, its value there is positive,
+    its content is 1, and it is zero at every other pivot column.  The
+    column index ``holders`` maps each column off the pivots that some
+    basis row uses to the set of the pivot columns of the rows nonzero
+    there; no pivot column is a key.
 
     The basis is kept reduced for the oracle's traces, which write each
     pivot column in the free columns straight off its basis row.  The
-    basis, as a map from pivot column to row, is the same for any order
-    the rows are fed in; only the order of ``rows`` follows the feed.
-    The cost does depend on the order.  Rows whose leading columns fall
-    are the cheap order: each new pivot then lies left of the kept
-    pivots, where the kept rows are almost always zero.
+    basis is the same for any order the rows are fed in; only the order
+    of ``pivots`` follows the feed.  The cost does depend on the order.
+    Rows whose leading columns fall are the cheap order: each new pivot
+    then lies left of the kept pivots, where the kept rows are almost
+    always zero.
     """
 
     def __init__(self):
-        self.rows: list[dict[int, int]] = []
-        self.pivots: dict[int, int] = {}
-        self.leads: list[int] = []
+        self.pivots: dict[int, dict[int, int]] = {}
         self.holders: dict[int, set[int]] = {}
 
     def add_row(self, row: dict[int, int]) -> bool:
@@ -99,8 +97,9 @@ class Echelon:
 
         The basis is fully reduced, so subtracting one basis row brings in
         no other pivot column.  The row is scaled by the lcm L of the pivot
-        values it hits, and the basis row with pivot c and pivot value p is
-        subtracted L * row[c] / p times, all in one pass into one new dict.
+        values it hits, and the basis row with pivot column c and pivot
+        value v is subtracted L * row[c] / v times, all in one pass into
+        one new dict.
         An independent row then clears its pivot column, in place, from
         every kept row that is nonzero there, which is the cost a feed in
         falling order of leading columns avoids.  Those rows are the
@@ -108,8 +107,8 @@ class Echelon:
         cleared row gains or loses, and the new row's columns.  The given
         dict is never changed.
         """
-        rows, pivots, leads, holders = self.rows, self.pivots, self.leads, self.holders
-        hits = [(rows[pivots[c]], c, v) for c, v in row.items() if c in pivots]
+        pivots, holders = self.pivots, self.holders
+        hits = [(pivots[c], c, v) for c, v in row.items() if c in pivots]
         scale = lcm(*(other[c] for other, c, _ in hits))
         new = {k: v * scale for k, v in row.items()}
         for other, c, v in hits:
@@ -128,16 +127,15 @@ class Echelon:
         b = new[lead]
         # the new row holds its columns before any kept row is cleared, so
         # a column a cleared row loses is still held by the new row
-        r_new = len(rows)
         for k in new:
             if k != lead:
-                holders.setdefault(k, set()).add(r_new)
-        for r in holders.pop(lead, ()):
-            other = rows[r]
+                holders.setdefault(k, set()).add(lead)
+        for p in holders.pop(lead, ()):
+            other = pivots[p]
             a, size = other[lead], len(other)
             g = gcd(a, b)
             m1, m2 = b // g, a // g
-            pivot = other[leads[r]]
+            pivot = other[p]
             if m1 != 1:
                 for k in other:
                     other[k] *= m1
@@ -145,7 +143,7 @@ class Echelon:
                 v = other.get(k)
                 if v is None:
                     other[k] = -m2 * w
-                    holders[k].add(r)
+                    holders[k].add(p)
                     continue
                 v -= m2 * w
                 if v:
@@ -153,7 +151,7 @@ class Echelon:
                 else:
                     del other[k]
                     if k != lead:
-                        holders[k].remove(r)
+                        holders[k].remove(p)
             # the content divides the old pivot value: a common prime of
             # the content and m1 would divide every entry of the new row
             if pivot != 1:
@@ -164,15 +162,13 @@ class Echelon:
             # deleting keys never shrinks a dict's table, so a row that
             # shrank is copied into a table sized for what it holds
             if len(other) < size:
-                rows[r] = dict(other)
-        pivots[lead] = r_new
-        leads.append(lead)
-        rows.append(new)
+                pivots[p] = dict(other)
+        pivots[lead] = new
         return True
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
 
 class RationalMatrix(Record):

@@ -173,8 +173,7 @@ MUTANTS = {
         "q2: entry if c == 1 else {t: c * v for t, v in entry.items()}", "q2: entry",
     )], {"verify", "one pivot", "core corank"}, ""),
     "denominators dropped, not cleared": (presentation, "_reduced_presentation", [(
-        "entry[sigma] = c.numerator * (scale // c.denominator)",
-        "entry[sigma] = c.numerator",
+        "sigma: c.numerator * (scale // c.denominator)", "sigma: c.numerator",
     )], {"verify", "one pivot"}, ""),
     "placement permutation inverted": (presentation, "_lift", [(
         "sigma = sorting_permutation(fp)", "sigma = inverse(sorting_permutation(fp))",
@@ -183,8 +182,8 @@ MUTANTS = {
         "entry[sigma] = entry.get(sigma, 0) + coeff",
         "entry[sigma] = entry.get(sigma, 0) + 1",
     )], {"verify", "one pivot"}, ""),
-    "cancelled sums kept": (presentation, "_lift", [(
-        "entry = {sigma: c for sigma, c in entry.items() if c}", "entry = dict(entry)",
+    "cancelled sums kept": (presentation, "_reduced_presentation", [(
+        "for sigma, c in entry.items() if c", "for sigma, c in entry.items()",
     )], {"verify"}, ""),
     "generator offset lost": (presentation, "_lift", [(
         "enumerate(sources[s.source], gen_starts[i])",
@@ -196,8 +195,7 @@ MUTANTS = {
             "scaled = 0",
         )], {"verify"}, ""),
     "a pivot's weight taken as 1": (oracle, "_evaluate", [(
-        "col: (basis.rows[idx], scale // basis.rows[idx][col])",
-        "col: (basis.rows[idx], 1)",
+        "col: (row, scale // row[col])", "col: (row, 1)",
     )], {"verify"}, ""),
     # code that both routes share
     "partitions drops (1, 1, 1)": (combinatorics, "partitions", [(
@@ -209,10 +207,10 @@ MUTANTS = {
         "return (factors[0] if factors else 1) + (lam == (2, 1))",
     )], {"verify", "one pivot", "core corank"}, ""),
     "echelon drops every 50th row": (ratmat, "Echelon.add_row", [(
-        "if not new:", "if not new or len(rows) % 50 == 49:",
+        "if not new:", "if not new or len(pivots) % 50 == 49:",
     )], {"verify"}, ""),
     "a cleared row's new column not indexed": (ratmat, "Echelon.add_row", [(
-        "holders[k].add(r)", "pass",
+        "holders[k].add(p)", "pass",
     )], {"verify", "feed", "core corank"}, ""),
     "integral Fractions kept": (ratmat, "_norm", [(
         "return int(v) if v.denominator == 1 else v", "return v",
@@ -235,6 +233,15 @@ MUTANTS = {
         'sign = -1 if match.group("sep") == "-" else 1', "sign = 1",
     )], set(), "both routes read the one parsed presentation, so no "
         "comparison of the two can see a parser fault"),
+    # the corpus is built before a mutant is applied and keeps every
+    # entry; what the checks see is a core of the closed form, built by
+    # this constructor, that loses one.  A presentation file loses its
+    # last entry before either route reads it, and that loss alone, like
+    # a parser fault, no comparison of the two routes can see.
+    "last entry given dropped": (presentation, "PresentationMatrix.__init__", [(
+        "for (i, j), s in (entries or {}).items():",
+        "for (i, j), s in list((entries or {}).items())[:-1]:",
+    )], {"verify", "one pivot", "core corank"}, ""),
 }
 
 # For each mutant that no check catches, tier-1 tests that fail on it.

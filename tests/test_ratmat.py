@@ -216,10 +216,10 @@ class TestRank:
             assert m.rank() == gauss_rank(rows, nc)
 
 
-def pivot_rows(echelon) -> dict[int, dict[int, int]]:
-    """Each basis row keyed by its pivot column: the basis, whatever
-    order its rows were kept in."""
-    return {col: echelon.rows[idx] for col, idx in echelon.pivots.items()}
+def pivot_rows(reference) -> dict[int, dict[int, int]]:
+    """A ReferenceEchelon's basis as Echelon keeps it: each basis row
+    keyed by its pivot column, in the order the rows were kept."""
+    return {col: reference.rows[idx] for col, idx in reference.pivots.items()}
 
 
 def sparse(row) -> dict[int, int]:
@@ -241,19 +241,16 @@ class TestEchelon:
             added = echelon.add_row(sparse(row))
             assert added == (echelon.rank == before + 1)
             assert echelon.rank == gauss_rank(rows[:count], ncols)
-            assert sorted(echelon.pivots.values()) == list(range(echelon.rank))
-            for col, idx in echelon.pivots.items():
-                basis_row = echelon.rows[idx]
+            for col, basis_row in echelon.pivots.items():
                 assert min(basis_row) == col and basis_row[col] > 0
                 assert gcd(*basis_row.values()) == 1
                 assert not (set(echelon.pivots) - {col}) & set(basis_row)
-            # the column index: each row's pivot column, and each column
-            # off the pivots with exactly the rows nonzero there
-            assert echelon.leads == list(echelon.pivots)
+            # the column index: each column off the pivots with exactly
+            # the pivot columns of the rows nonzero there
             supports = {}
-            for idx, basis_row in enumerate(echelon.rows):
+            for col, basis_row in echelon.pivots.items():
                 for k in set(basis_row) - set(echelon.pivots):
-                    supports.setdefault(k, set()).add(idx)
+                    supports.setdefault(k, set()).add(col)
             assert echelon.holders == supports
 
     @settings(max_examples=200, deadline=None)
@@ -267,7 +264,7 @@ class TestEchelon:
             echelon = Echelon()
             for row in order:
                 echelon.add_row(sparse(row))
-            bases.append(pivot_rows(echelon))
+            bases.append(echelon.pivots)
         assert bases[0] == bases[1]
 
 
@@ -299,8 +296,7 @@ def feed_both(rows):
     echelon, reference = Echelon(), ReferenceEchelon()
     for row in rows:
         assert echelon.add_row(row) == reference.add_row(row)
-        assert echelon.pivots == reference.pivots
-        assert echelon.rows == reference.rows
+        assert list(echelon.pivots.items()) == list(pivot_rows(reference).items())
     return echelon
 
 
@@ -311,7 +307,7 @@ class TestEchelonMatchesReference:
         echelon = feed_both([
             {0: -2, 1: -1}, {1: 2, 2: 1}, {}, {0: 6, 1: 5, 2: 1}, {0: -4, 2: 1},
         ])
-        assert echelon.rows == [{0: 4, 2: -1}, {1: 2, 2: 1}]
+        assert list(echelon.pivots.items()) == [(0, {0: 4, 2: -1}), (1, {1: 2, 2: 1})]
 
     @settings(max_examples=400, deadline=None)
     @given(sparse_row_lists())
