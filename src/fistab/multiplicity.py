@@ -4,10 +4,10 @@ Once the degree passes the onset bound (the largest generator degree g
 plus the larger of g and the largest relation degree r), the
 decomposition of a finitely presented FI-module stops changing except
 for the growing top rows, and its dimension follows an exact
-polynomial.  Both are read off from coranks of the transported
-presentation matrices, one per partition up to the largest generator
-degree.  Every shape's matrix of z is sized before the first one is
-built, and a shape over the cell budget of
+polynomial.  The multiplicities are read off from coranks of the
+transported presentation matrices, one per partition up to the largest
+generator degree.  Every shape's matrix of z is sized before the first
+one is built, and a shape over the cell budget of
 :func:`fistab.budget.check_cells` refuses the whole table.
 
 The matrices actually built are smaller.  For each size k the unit
@@ -17,13 +17,23 @@ takes its corank on the integral core that is left.  The elimination is
 a block row operation on every shape's matrix at once, valid because the
 Specht action reverses products (see :mod:`fistab.presentation`), so
 every corank is unchanged; the budget still sizes the matrix of z.
+
+The polynomial is written down from the table, with no sampling.  By
+the hook length formula, f^(n - k, lam) for lam of size k is n! over
+lam's hooks (their product is k! / f^lam) and the first row's: 1, ...,
+n - k - lam_1, which cancel against n!, and above each column j <= lam_1
+n - (k + j - 1 - lam'_j), lam' the conjugate, distinct as they increase
+with j.  That leaves (f^lam / k!) prod (n - i) over k values i in
+0, ..., k + lam_1 - 1, as in Church-Ellenberg-Farb (arXiv:1204.4533).
 """
 
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from .budget import check_cells
-from .combinatorics import Partition, check_partition, hook_length_count, partitions
+from .combinatorics import (
+    Partition, check_partition, conjugate, hook_length_count, partitions,
+)
 from .presentation import (
     PresentationMatrix,
     _reduced_presentation,
@@ -112,7 +122,8 @@ def onset_bound(z: PresentationMatrix) -> int:
 class DimensionPolynomial(Record):
     """Exact polynomial giving dim M[n] for every degree n >= onset.
 
-    ``coeffs`` are Fractions, ascending degree, no trailing zeros.
+    ``coeffs`` are Fractions, ascending degree, no trailing zeros; for g
+    the largest generator degree, g! times each is an integer.
     """
 
     __slots__ = ("coeffs", "onset")
@@ -146,44 +157,32 @@ class DimensionPolynomial(Record):
         return f"({numerator})/{denom}"
 
 
-def _interpolate(xs, ys) -> list[Fraction]:
-    """Ascending coefficients of the polynomial of degree < len(xs)
-    through the points (xs, ys): Newton's divided differences, expanded
-    from the innermost factor out."""
-    diffs = [Fraction(y) for y in ys]
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - 1, k - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
-    poly = diffs[-1:]
-    for c, x in zip(diffs[-2::-1], xs[-2::-1]):  # poly * (n - x) + c
-        poly = [c - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:] + [0])]
-    return poly
-
-
 def dimension_polynomial(
     z: PresentationMatrix, table: MultiplicityTable | None = None
 ) -> DimensionPolynomial:
     """The stable dimension polynomial of the presented module.
 
-    Beyond the onset, dim M[n] is the sum of m_lam * f^(n - |lam|, lam)
-    over the table, a polynomial of degree at most g, the largest
-    generator degree.  It is evaluated by the hook length formula at the
-    g + 1 degrees 2g + 1, ..., 3g + 1, where every (n - |lam|, lam) is a
-    partition, and interpolated exactly.  A caller that already holds
-    ``eventual_multiplicities(z)`` passes it as ``table`` so it is not
-    built again.
+    Beyond the onset, dim M[n] is the sum of m_lam f^(n - |lam|, lam)
+    over the table: f^lam / |lam|! times |lam| factors n - i each (see
+    the module docstring), summed in integers as g! dim M[n], g the
+    largest generator degree, and divided by g! once.  A caller that
+    already holds ``eventual_multiplicities(z)`` passes it as ``table``.
     """
     if table is None:
         table = eventual_multiplicities(z)
-    g = z.max_generator_degree
-    degrees = range(2 * g + 1, 3 * g + 2)
-    total = _interpolate(degrees, [
-        sum(c * hook_length_count((n - sum(lam),) + lam) for lam, c in table if c)
-        for n in degrees
-    ])
-    while total and total[-1] == 0:
-        total.pop()
-    return DimensionPolynomial(tuple(total), onset_bound(z))
+    scale = factorial(z.max_generator_degree)
+    total = []  # ascending in n; each m_lam >= 0, so the top one is not 0
+    for lam, m in table:
+        if m:
+            k, conj = sum(lam), conjugate(lam)
+            removed = {k + j - c for j, c in enumerate(conj)}
+            term = [m * hook_length_count(lam) * (scale // factorial(k))]
+            for i in set(range(k + len(conj))) - removed:  # term * (n - i)
+                term = [a - i * b for a, b in zip([0] + term, term + [0])]
+            total += [0] * (len(term) - len(total))
+            for e, c in enumerate(term):
+                total[e] += c
+    return DimensionPolynomial(tuple(Fraction(c, scale) for c in total), onset_bound(z))
 
 
 __all__ = [

@@ -1,18 +1,24 @@
+import os
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fistab.cli import main, parse_presentation
 from fistab.combinatorics import (
     all_injections,
     compose,
     hook_length_count,
     horizontal_strip_extensions,
+    partitions,
 )
 from fistab.multiplicity import (
     DimensionPolynomial,
+    MultiplicityTable,
     dimension_polynomial,
     eventual_multiplicities,
     onset_bound,
@@ -28,6 +34,12 @@ from conftest import (
     torsion_presentation,
 )
 from test_presentation import presentations
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(ROOT, "tests", "data")
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402
 
 
 E_TABLE = {
@@ -250,3 +262,108 @@ class TestDimensionPolynomial:
         assert str(poly) == "n^2 + 2"
         poly = DimensionPolynomial((Fraction(-1), Fraction(1)), 0)
         assert str(poly) == "n - 1"
+
+
+def newton_coefficients(xs, ys) -> list[Fraction]:
+    """Ascending coefficients of the polynomial of degree < len(xs)
+    through the points (xs, ys): Newton's divided differences, expanded
+    from the innermost factor out."""
+    diffs = [Fraction(y) for y in ys]
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+    poly = diffs[-1:]
+    for c, x in zip(diffs[-2::-1], xs[-2::-1]):  # poly * (n - x) + c
+        poly = [c - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:] + [0])]
+    return poly
+
+
+def sampled_polynomial(z: PresentationMatrix) -> list[Fraction]:
+    """The reference: dim M[n] by the hook length formula at the g + 1
+    degrees 2g + 1, ..., 3g + 1, where every (n - |lam|, lam) of the
+    table is a partition, interpolated exactly; no trailing zeros."""
+    table = eventual_multiplicities(z)
+    degrees = range(2 * z.max_generator_degree + 1, 3 * z.max_generator_degree + 2)
+    poly = newton_coefficients(degrees, [
+        sum(m * hook_length_count((n - sum(lam),) + lam) for lam, m in table if m)
+        for n in degrees
+    ])
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+DATA_PRESENTATIONS = {
+    name: parse_presentation(Path(DATA, name).read_text(encoding="utf-8"))
+    for name in sorted(os.listdir(DATA)) if name.endswith(".fipres")
+}
+
+
+NAMED = {
+    "E": parse_presentation(workloads.cyclic(3)),
+    "triangle": parse_presentation(workloads.inputs(0)["triangle"]),
+    "rational2": parse_presentation(workloads.rational2(0)),
+    "alternating6": parse_presentation(workloads.inputs(0)["alternating6"]),
+    **{f"cyclic-{x}": parse_presentation(workloads.cyclic(x)) for x in range(3, 9)},
+    **{f"M({k})": free_module(k) for k in (1, 2, 3)},
+}
+
+
+def assert_matches_the_sampled_polynomial(z: PresentationMatrix) -> None:
+    coeffs = dimension_polynomial(z).coeffs
+    assert list(coeffs) == sampled_polynomial(z)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize("name", list(NAMED))
+def test_polynomial_is_the_sampled_one(name):
+    assert_matches_the_sampled_polynomial(NAMED[name])
+
+
+@pytest.mark.parametrize("name", list(DATA_PRESENTATIONS))
+def test_polynomial_is_the_sampled_one_on_the_data(monkeypatch, name):
+    # the cap admits cyclic-10, whose matrices of z are sized
+    monkeypatch.setenv("FISTAB_ORACLE_CAP", "50000")
+    assert_matches_the_sampled_polynomial(DATA_PRESENTATIONS[name])
+
+
+@pytest.mark.parametrize(
+    "draw", [random_presentation, random_low_relation_presentation]
+)
+def test_polynomial_is_the_sampled_one_on_the_random_corpora(draw):
+    for seed in range(100):
+        assert_matches_the_sampled_polynomial(draw(random.Random(seed)))
+
+
+def test_first_row_hooks_cancel():
+    # f^(n - k, lam) = (f^lam / k!) prod (n - i) over the k roots, checked
+    # through a table whose one shape lam has multiplicity 1, from the
+    # first n at which (n - k, lam) is a partition ((0,) is not one)
+    for k in range(9):
+        z = PresentationMatrix((k,), ())
+        for lam in partitions(k):
+            poly = dimension_polynomial(z, MultiplicityTable({lam: 1}, k, 0))
+            assert len(poly.coeffs) == k + 1
+            first = max(k + sum(lam[:1]), 1)
+            for n in range(first, first + 13):
+                assert poly(n) == hook_length_count((n - k,) + lam), (lam, n)
+
+
+# each NAME.fipres with a NAME-dimension.json pinned from the version
+# that interpolated the polynomial from sampled dimensions
+PINNED = sorted(
+    name[:-len("-dimension.json")] for name in os.listdir(DATA)
+    if name.endswith("-dimension.json")
+)
+
+
+def test_every_data_presentation_has_a_pinned_polynomial():
+    assert PINNED == [name[:-len(".fipres")] for name in DATA_PRESENTATIONS]
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_polynomial_matches_the_pinned_output(monkeypatch, capsys, name):
+    monkeypatch.setenv("FISTAB_ORACLE_CAP", "50000")
+    assert main(["dimension", os.path.join(DATA, f"{name}.fipres"), "--json"]) == 0
+    with open(os.path.join(DATA, f"{name}-dimension.json")) as handle:
+        assert capsys.readouterr().out == handle.read()

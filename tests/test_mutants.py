@@ -39,6 +39,7 @@ from fistab.cli import parse_presentation
 from fistab.oracle import ResourceCapError, verify
 from fistab.presentation import FormalSum, PresentationMatrix
 import fistab.combinatorics as combinatorics
+import fistab.multiplicity as multiplicity
 import fistab.oracle as oracle
 import fistab.presentation as presentation
 import fistab.ratmat as ratmat
@@ -189,6 +190,11 @@ MUTANTS = {
         "enumerate(sources[s.source], gen_starts[i])",
         "enumerate(sources[s.source], gen_starts[0])",
     )], {"verify", "one pivot", "core corank"}, ""),
+    "first column's removed root taken one too high": (
+        multiplicity, "dimension_polynomial", [(
+            "removed = {k + j - c for j, c in enumerate(conj)}",
+            "removed = {k + j + (j == 0) - c for j, c in enumerate(conj)}",
+        )], {"verify"}, ""),
     "relation-free generators' term dropped": (
         oracle, "DegreeEvaluation.permutation_trace", [(
             "scaled = scale * sum(falling_factorial(fixed, x) for x in self._free)",
