@@ -41,20 +41,23 @@ the basis row with pivot column p and pivot value v says that, in the
 cokernel, e_p = -(1/v) sum over free f of row[f] e_f.  The trace of
 sigma sums, over the free columns f, the coefficient of e_f in
 e_{sigma o f}: 1 when sigma o f = f, 0 when sigma o f is another free
-column, and -row[f] / v when sigma o f is the pivot p.  With the basis,
-evaluation keeps a trace plan: each free column with its injection, and
-each pivot column with its basis row and L over its pivot value, L the
-lcm of the pivot values.  A trace then sums plain ints and divides once
-by L.  A generator with no relation entry of degree at most n has only
-free columns, and none lies in a basis row; it stays out of the plan
-and adds the injections sigma fixes, falling_factorial(fixed points, x)
-for its degree x, so a free module costs one term per generator.  A
-trace reads as many columns as the cokernel has dimensions: on E at
-n = 10, 125, where the image side read its 595 basis rows; on the
-triangle at n = 16, 15 against 225; on ``rational2`` at n = 8, 1 against
-391.  Where the cokernel is the larger side it reads more: one entry
-summing the three cyclic shifts of [1 2 3] on a generator of degree 3,
-at n = 10, has rank 240 and a cokernel of dimension 480.
+column, and -row[f] / v when sigma o f is the pivot p.  Each generator
+has one index, from each of its injections straight to its flat column,
+which both the relation rows and the traces read.  With the basis,
+evaluation keeps a trace plan: each free column with its generator's
+index and its injection, and each pivot column with its basis row and L
+over its pivot value, L the lcm of the pivot values.  A trace then sums
+plain ints and divides once by L.  Every generator is traced alike: one
+with no relation entry of degree at most n has only free columns, and
+the plan lists each of them.  A trace reads as many columns as the
+cokernel has dimensions: on E at n = 10, 125, where the image side read
+its 595 basis rows; on the triangle at n = 16, 15 against 225; on
+``rational2`` at n = 8, 1 against 391.  Where the cokernel is the larger
+side it reads more: one entry summing the three cyclic shifts of
+[1 2 3] on a generator of degree 3, at n = 10, has rank 240 and a
+cokernel of dimension 480.  A free module is all cokernel: M(3) at
+n = 17 reads 4,080 columns per trace, where counting the injections
+sigma fixes would take one falling factorial.
 
 Decomposition takes one trace per vector (c_1, ..., c_g) of the numbers
 of cycles of each length up to g, the largest generator degree, weighted
@@ -114,15 +117,13 @@ class DegreeEvaluation(Record):
     docstring).  ``_pivots`` maps each pivot column of the reduced image
     basis to its basis row and ``_scale`` over its pivot value, where
     ``_scale`` is the lcm of the pivot values.  ``_plan`` lists each
-    free column of the generators with a relation entry of degree at
-    most n, with its generator's offset and index of injections and its
-    injection.  ``_free`` holds the degrees of the other generators,
-    whose columns are all free and lie in no basis row.  The repr shows
-    n, ambient_dim and rank only.
+    free column of every generator with its generator's index, from each
+    injection to its flat column, and its injection.  The repr shows n,
+    ambient_dim and rank only.
     """
 
     __slots__ = (
-        "n", "ambient_dim", "rank", "_z", "_free", "_plan", "_pivots", "_scale",
+        "n", "ambient_dim", "rank", "_z", "_plan", "_pivots", "_scale",
     )
 
     def __repr__(self):
@@ -141,18 +142,16 @@ class DegreeEvaluation(Record):
         Summed over the free columns, times ``_scale``, so every term is
         an int: ``_scale`` for each free column sigma fixes, and for each
         free column f that sigma moves to a pivot, minus the pivot's
-        weight times its basis row at f.  Each relation-free generator
-        adds ``_scale`` times the injections sigma fixes.
+        weight times its basis row at f.
         """
         sigma = check_permutation(sigma)
         if len(sigma) != self.n:
             raise ValueError(f"permutation of {len(sigma)} points at degree {self.n}")
-        fixed = sum(1 for i, v in enumerate(sigma, start=1) if v == i)
         scale, pivots = self._scale, self._pivots
-        scaled = scale * sum(falling_factorial(fixed, x) for x in self._free)
+        scaled = 0
         act = (0, *sigma).__getitem__
-        for col, offset, index, injection in self._plan:
-            moved = offset + index[tuple(map(act, injection))]
+        for col, index, injection in self._plan:
+            moved = index[tuple(map(act, injection))]
             if moved == col:
                 scaled += scale
             elif moved in pivots:
@@ -408,21 +407,17 @@ def _patterns(column, y: int) -> tuple[list, list]:
 
 @lru_cache(maxsize=16)
 def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
-    offsets = []
-    injections = []
+    # for each generator, each injection's flat column
     index = []
     total = 0
     for x in z.generator_degrees:
-        offsets.append(total)
         block = all_injections(x, n)
-        injections.append(block)
-        index.append({f: a for a, f in enumerate(block)})
+        index.append({f: total + a for a, f in enumerate(block)})
         total += len(block)
 
     # each kept row, as its columns and its values, in the order of the
     # first injection that gave it
     kept: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
-    related: set[int] = set()
     for j, y in enumerate(z.relation_degrees):
         column = [
             (i, z.entries[(i, j)].terms)
@@ -431,7 +426,6 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
         ]
         if not column or y > n:
             continue
-        related.update(i for i, _ in column)
         # Scaling a relation column by the lcm of its denominators keeps
         # the span, and every row it gives is then a row of ints.
         scale = lcm(*(c.denominator for _, terms in column for c in terms.values()))
@@ -439,14 +433,10 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
             (i, [(_precomposer(g), int(c * scale)) for g, c in terms.items()])
             for i, terms in column
         ], y)
-        coordinates = [
-            (offsets[i], index[i], _precomposer(u)) for i, u in coordinates
-        ]
+        coordinates = [(index[i], _precomposer(u)) for i, u in coordinates]
         rows = []
         for a in monotone_injections(y, n):
-            flat = [
-                offset + positions[lift(a)] for offset, positions, lift in coordinates
-            ]
+            flat = [positions[lift(a)] for positions, lift in coordinates]
             for lift, places, values in patterns:
                 rows.append((lift(a), tuple(map(flat.__getitem__, places)), values))
         # in the order of h = a o pi, as one row per injection would come,
@@ -461,20 +451,16 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     for columns, values in reversed(kept):
         basis.add_row(dict(zip(columns, values)))
     # each pivot column with its basis row and L over its pivot value;
-    # the free columns of the generators with a relation, each with its
-    # generator's offset and index of injections and its injection
+    # each free column with its generator's index and its injection
     scale = lcm(*(row[col] for col, row in basis.pivots.items()))
     pivots = {col: (row, scale // row[col]) for col, row in basis.pivots.items()}
     plan = tuple(
-        (offsets[i] + a, offsets[i], index[i], f)
-        for i in sorted(related)
-        for a, f in enumerate(injections[i])
-        if offsets[i] + a not in pivots
+        (col, positions, f)
+        for positions in index
+        for f, col in positions.items()
+        if col not in pivots
     )
-    free = tuple(
-        x for i, x in enumerate(z.generator_degrees) if i not in related
-    )
-    return DegreeEvaluation(n, total, basis.rank, z, free, plan, pivots, scale)
+    return DegreeEvaluation(n, total, basis.rank, z, plan, pivots, scale)
 
 
 def evaluate_degree(z: PresentationMatrix, n: int) -> DegreeEvaluation:

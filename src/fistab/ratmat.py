@@ -59,13 +59,22 @@ def _norm(v):
     raise TypeError(f"matrix entries must be int or Fraction, got {type(v)!r}")
 
 
-def _sparse_row(row) -> tuple:
-    """The nonzero entries of a row, as sorted (column, value) pairs."""
+def _sparse_row(i: int, row) -> tuple:
+    """The nonzero entries of row i, as sorted (column, value) pairs.
+
+    A row of pairs that lists a column twice is refused: as a dict it
+    would keep only the last value.
+    """
     if not row:
         return ()
-    items = row.items() if isinstance(row, dict) else dict(row).items()
+    if not isinstance(row, dict):
+        pairs, row = row, {}
+        for j, v in pairs:
+            if j in row:
+                raise ValueError(f"row {i} lists column {j} twice")
+            row[j] = v
     return tuple(sorted(
-        (j, v if type(v) is int else _norm(v)) for j, v in items if v
+        (j, v if type(v) is int else _norm(v)) for j, v in row.items() if v
     ))
 
 
@@ -178,13 +187,13 @@ class RationalMatrix(Record):
     (column, value) pairs in increasing column order, each value an int or
     a non-integral Fraction.  No zero is stored, so two equal matrices have
     equal rows.  The constructor takes each row as a dict from column to
-    value, or as an iterable of such pairs.
+    value, or as an iterable of such pairs that lists each column once.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int):
-        rows = tuple(map(_sparse_row, rows))
+        rows = tuple(_sparse_row(i, row) for i, row in enumerate(rows))
         if any(row and not (0 <= row[0][0] and row[-1][0] < ncols) for row in rows):
             raise ValueError(f"a column lies outside range({ncols})")
         object.__setattr__(self, "rows", rows)

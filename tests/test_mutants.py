@@ -153,9 +153,11 @@ MUTANTS = {
         "c = -c", "c = c",
     )], {"feed"}, SPAN_KEPT),
     "lose a generator's offset": (oracle, "_evaluate", [(
-        "(offsets[i], index[i], _precomposer(u))",
-        "(offsets[0], index[i], _precomposer(u))",
+        "total + a", "a",
     )], {"verify", "feed"}, ""),
+    "the plan skips the last generator": (oracle, "_evaluate", [(
+        "for positions in index", "for positions in index[:-1]",
+    )], {"verify"}, ""),
     "no sigma inverse": (presentation, "_reduced_presentation", [(
         "back = inverse(sigma)", "back = sigma",
     )], {"verify", "one pivot", "core corank"}, ""),
@@ -194,11 +196,6 @@ MUTANTS = {
         multiplicity, "dimension_polynomial", [(
             "removed = {k + j - c for j, c in enumerate(conj)}",
             "removed = {k + j + (j == 0) - c for j, c in enumerate(conj)}",
-        )], {"verify"}, ""),
-    "relation-free generators' term dropped": (
-        oracle, "DegreeEvaluation.permutation_trace", [(
-            "scaled = scale * sum(falling_factorial(fixed, x) for x in self._free)",
-            "scaled = 0",
         )], {"verify"}, ""),
     "a pivot's weight taken as 1": (oracle, "_evaluate", [(
         "col: (row, scale // row[col])", "col: (row, 1)",

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import sys
 from bisect import bisect_right
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fistab.combinatorics import (
     inverse,
     partitions,
 )
-from fistab.cli import parse_presentation
+from fistab.cli import main, parse_presentation
 from fistab.oracle import (
     DegreeEvaluation,
     ResourceCapError,
@@ -177,18 +178,16 @@ def plan_pivot_rows(ev) -> dict[int, dict[int, int]]:
 
 def assert_plan_layout(ev) -> None:
     """Each pivot's weight times its pivot value is the scale; the plan
-    lists each free column of a generator with a relation once, at its
-    injection; and the relation-free generators' injections make up the
-    rest of the ambient basis."""
+    lists each free column of every generator once, at its injection;
+    and the free columns and the pivots make up the ambient basis."""
     for col, (row, weight) in ev._pivots.items():
         assert weight * row[col] == ev._scale
     columns = [col for col, *_ in ev._plan]
     assert len(set(columns)) == len(columns)
     assert not set(columns) & set(ev._pivots)
-    for col, offset, index, injection in ev._plan:
-        assert offset + index[injection] == col
-    free = sum(falling_factorial(ev.n, x) for x in ev._free)
-    assert len(columns) + ev.rank + free == ev.ambient_dim
+    for col, index, injection in ev._plan:
+        assert index[injection] == col
+    assert len(columns) + ev.rank == ev.ambient_dim
 
 
 # The benchmark's triangle presentation (bench/workloads.py).
@@ -205,7 +204,7 @@ NON_UNIT_PIVOTS = PresentationMatrix((1, 2), (3,), {
 
 
 # A generator of degree 2 with no relation, beside one of degree 1 with
-# the relation [1] - 2[2]: the first one's columns stay out of the plan.
+# the relation [1] - 2[2]: every column of the first one is free.
 RELATION_FREE_BESIDE = PresentationMatrix((2, 1), (2,), {
     (1, 0): FormalSum(1, 2, {(1,): 1, (2,): -2}),
 })
@@ -699,8 +698,8 @@ class TestTracePlan:
         # free column e_2: the transposition takes e_2 to e_1, which is
         # e_2 / 2 in the cokernel, so the character comes out as 1/2
         ev = DegreeEvaluation(
-            2, 2, 1, PresentationMatrix((1,), ()), (),
-            ((1, 0, {(1,): 0, (2,): 1}, (2,)),), {0: ({0: 2, 1: -1}, 1)}, 2,
+            2, 2, 1, PresentationMatrix((1,), ()),
+            ((1, {(1,): 0, (2,): 1}, (2,)),), {0: ({0: 2, 1: -1}, 1)}, 2,
         )
         with pytest.raises(ArithmeticError, match="non-integer character value 1/2"):
             ev.permutation_trace((2, 1))
@@ -953,3 +952,27 @@ class TestVerify:
             assert not report.pre_stable
             assert report.passed, report
             assert report.invisible == ()
+
+
+# each NAME-COMMAND-N.json in tests/data is the output of ``COMMAND
+# NAME.fipres --n N --json``, pinned from the version that counted a
+# relation-free generator's fixed injections by a falling factorial
+DATA = os.path.join(ROOT, "tests", "data")
+ORACLE_PIN = re.compile(r"(.+)-(evaluate|decompose)-(\d+)\.json")
+ORACLE_PINS = sorted(name for name in os.listdir(DATA) if ORACLE_PIN.fullmatch(name))
+
+
+def test_a_relation_free_generator_is_pinned():
+    assert {
+        f"relation-free-beside-{command}-{n}.json"
+        for command in ("evaluate", "decompose") for n in (6, 7)
+    } <= set(ORACLE_PINS)
+
+
+@pytest.mark.parametrize("pin", ORACLE_PINS)
+def test_oracle_matches_the_pinned_output(capsys, pin):
+    name, command, n = ORACLE_PIN.fullmatch(pin).groups()
+    path = os.path.join(DATA, f"{name}.fipres")
+    assert main([command, path, "--n", n, "--json"]) == 0
+    with open(os.path.join(DATA, pin)) as handle:
+        assert capsys.readouterr().out == handle.read()

@@ -140,6 +140,13 @@ class TestRowFormat:
         assert m.rows == (((2, 1),), ((1, Fraction(1, 2)),))
         assert_row_format(m)
 
+    def test_rejects_a_column_listed_twice(self):
+        # as a dict the row would be [[2]]: the last value would win
+        with pytest.raises(ValueError, match="row 0 lists column 0 twice"):
+            RationalMatrix([[(0, 1), (0, 2)]], 1)
+        with pytest.raises(ValueError, match="row 1 lists column 2 twice"):
+            RationalMatrix([{0: 1}, [(2, 1), (1, 1), (2, 0)]], 3)
+
     def test_rejects_a_column_out_of_range(self):
         with pytest.raises(ValueError):
             RationalMatrix([{3: 1}], 3)

@@ -46,7 +46,7 @@ from fistab.ratmat import RationalMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 
-HIDDEN = ("_z", "_free", "_plan", "_pivots", "_scale")
+HIDDEN = ("_z", "_plan", "_pivots", "_scale")
 FIELDS = {
     MultiplicityTable: ("counts", "max_generator_degree", "max_relation_degree"),
     DimensionPolynomial: ("coeffs", "onset"),
