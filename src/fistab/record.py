@@ -5,7 +5,7 @@ what a frozen dataclass would give it: construction by position or by
 keyword, refusal of every later change, equality with an instance of
 the same class and equal fields, a hash of the field tuple, and the
 ``Name(field=value, ...)`` repr, which a subclass may shorten (the
-oracle's ``DegreeEvaluation`` shows three of its eight fields).  A
+oracle's ``DegreeEvaluation`` shows three of its seven fields).  A
 subclass with a validating constructor sets its fields with
 ``object.__setattr__``.  ``copy``, ``deepcopy`` and ``pickle`` restore
 the fields the same way, without calling the subclass's constructor.

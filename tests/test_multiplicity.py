@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fistab.cli import main, parse_presentation
+from fistab.cli import parse_presentation
 from fistab.combinatorics import (
     all_injections,
     compose,
@@ -320,6 +320,15 @@ def test_polynomial_is_the_sampled_one(name):
     assert_matches_the_sampled_polynomial(NAMED[name])
 
 
+def test_every_data_presentation_has_a_pinned_polynomial():
+    # tests/test_pins.py diffs each NAME-dimension.json
+    pinned = sorted(
+        name[:-len("-dimension.json")] for name in os.listdir(DATA)
+        if name.endswith("-dimension.json")
+    )
+    assert pinned == [name[:-len(".fipres")] for name in DATA_PRESENTATIONS]
+
+
 @pytest.mark.parametrize("name", list(DATA_PRESENTATIONS))
 def test_polynomial_is_the_sampled_one_on_the_data(monkeypatch, name):
     # the cap admits cyclic-10, whose matrices of z are sized
@@ -347,23 +356,3 @@ def test_first_row_hooks_cancel():
             first = max(k + sum(lam[:1]), 1)
             for n in range(first, first + 13):
                 assert poly(n) == hook_length_count((n - k,) + lam), (lam, n)
-
-
-# each NAME.fipres with a NAME-dimension.json pinned from the version
-# that interpolated the polynomial from sampled dimensions
-PINNED = sorted(
-    name[:-len("-dimension.json")] for name in os.listdir(DATA)
-    if name.endswith("-dimension.json")
-)
-
-
-def test_every_data_presentation_has_a_pinned_polynomial():
-    assert PINNED == [name[:-len(".fipres")] for name in DATA_PRESENTATIONS]
-
-
-@pytest.mark.parametrize("name", PINNED)
-def test_polynomial_matches_the_pinned_output(monkeypatch, capsys, name):
-    monkeypatch.setenv("FISTAB_ORACLE_CAP", "50000")
-    assert main(["dimension", os.path.join(DATA, f"{name}.fipres"), "--json"]) == 0
-    with open(os.path.join(DATA, f"{name}-dimension.json")) as handle:
-        assert capsys.readouterr().out == handle.read()

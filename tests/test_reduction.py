@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from fistab.cli import main, parse_presentation
+from fistab.cli import parse_presentation
 from fistab.combinatorics import compose, identity, partitions
 import fistab.presentation as presentation
 from fistab.presentation import (
@@ -41,7 +41,6 @@ from conftest import (
 )
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DATA = os.path.join(ROOT, "tests", "data")
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import workloads  # noqa: E402
@@ -192,24 +191,6 @@ def test_every_core_coefficient_is_an_int_on_the_random_corpora(draw):
     for _ in range(100):
         z = draw(rng)
         assert core_coefficient_types(z) <= {int}, z
-
-
-# each NAME.fipres with a NAME-multiplicities.json pinned from an
-# earlier version of the closed form
-PINNED = sorted(
-    name[:-len("-multiplicities.json")] for name in os.listdir(DATA)
-    if name.endswith("-multiplicities.json")
-)
-
-
-@pytest.mark.parametrize("name", PINNED)
-def test_table_matches_the_pinned_output(monkeypatch, capsys, name):
-    # the cap admits cyclic-10, whose matrices of z are sized
-    monkeypatch.setenv("FISTAB_ORACLE_CAP", "50000")
-    path = os.path.join(DATA, f"{name}.fipres")
-    assert main(["multiplicities", path, "--json"]) == 0
-    with open(os.path.join(DATA, f"{name}-multiplicities.json")) as handle:
-        assert capsys.readouterr().out == handle.read()
 
 
 # ---------------------------------------------------------------------------
