@@ -22,8 +22,11 @@ pivots to the pivot columns of the basis rows nonzero there: the rows to
 clear are the set at the new pivot, with no scan of the basis.  The
 basis does not depend on the order the rows are fed in, but the cost
 does: a pivot left of every kept pivot has nothing to clear.
-``RationalMatrix.rank`` and the oracle get rows whose leading columns
-mostly rise, so they feed them last first.
+``RationalMatrix.rank`` gets rows whose leading columns mostly rise, so
+it feeds them last first.  The oracle feeds its rows by the least point
+of their image falling, then by relation column and injection falling,
+which puts their leading columns in the same mostly falling order, and
+it feeds almost no dependent row (see :mod:`fistab.oracle`).
 The closed form ranks the transports of the integral cores its
 fraction-free elimination of unit pivots leaves (see
 :mod:`fistab.presentation`); last first is no slower there: on
@@ -94,7 +97,9 @@ class Echelon:
     of ``pivots`` follows the feed.  The cost does depend on the order.
     Rows whose leading columns fall are the cheap order: each new pivot
     then lies left of the kept pivots, where the kept rows are almost
-    always zero.
+    always zero.  The oracle's feed, by least image point falling, is in
+    that order, and ``add_row``'s answer tells it which rows of the next
+    smaller least point it need not build.
     """
 
     def __init__(self):

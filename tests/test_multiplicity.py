@@ -299,10 +299,11 @@ DATA_PRESENTATIONS = {
 }
 
 
-# E, the triangle, rational2 and alternating6 are in DATA_PRESENTATIONS
+# E (cyclic-3), cyclic-5, M(3), the triangle, rational2 and alternating6
+# are in DATA_PRESENTATIONS
 NAMED = {
-    **{f"cyclic-{x}": parse_presentation(workloads.cyclic(x)) for x in range(3, 9)},
-    **{f"M({k})": free_module(k) for k in (1, 2, 3)},
+    **{f"cyclic-{x}": parse_presentation(workloads.cyclic(x)) for x in (4, 6, 7, 8)},
+    **{f"M({k})": free_module(k) for k in (1, 2)},
 }
 
 

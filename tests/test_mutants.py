@@ -152,6 +152,15 @@ MUTANTS = {
     "skip the sign normalisation": (oracle, "_patterns", [(
         "c = -c", "c = c",
     )], {"feed"}, SPAN_KEPT),
+    "the tail predecessor is never consulted": (oracle, "_predecessors", [(
+        "for k in range(len(a))", "for k in range(len(a) - 1)",
+    )], {"feed"}, "every row it no longer skips is dependent and is fed "
+        "as well, which keeps the span of the relation rows and with it "
+        "every output"),
+    "skip when a smaller key had any dependent pattern": (oracle, "_evaluate", [(
+        "*(dependent[b] for b in _predecessors(a, n))",
+        "*(range(len(patterns)) for b in _predecessors(a, n) if dependent[b])",
+    )], {"verify", "feed"}, ""),
     "lose a generator's offset": (oracle, "_evaluate", [(
         "total + a", "a",
     )], {"verify", "feed"}, ""),
@@ -211,7 +220,7 @@ MUTANTS = {
     )], {"verify", "one pivot", "core corank"}, ""),
     "echelon drops every 50th row": (ratmat, "Echelon.add_row", [(
         "if not new:", "if not new or len(pivots) % 50 == 49:",
-    )], {"verify"}, ""),
+    )], {"verify", "feed"}, ""),
     "a cleared row's new column not indexed": (ratmat, "Echelon.add_row", [(
         "holders[k].add(p)", "pass",
     )], {"verify", "feed", "core corank"}, ""),

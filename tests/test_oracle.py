@@ -54,6 +54,7 @@ from conftest import (
     symmetric_group,
     torsion_presentation,
 )
+from test_multiplicity import DATA_PRESENTATIONS
 from test_ratmat import gauss_rank, pivot_rows
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -292,18 +293,26 @@ class TestRelationMatrix:
         assert dense_rows(m) == ((1, -1), (-1, 1))
 
 
-@cache
-def every_relation_row_basis(z: PresentationMatrix, n: int) -> ReferenceEchelon:
-    """Every column of the dense relation matrix, each scaled by the lcm
-    of its denominators, fed in order to the reference echelon: the
-    oracle's evaluation without skipping repeated rows.  Cached, as the
-    trace reference takes it once per drawn permutation; no caller
-    changes it."""
-    echelon = ReferenceEchelon()
+def relation_rows(z: PresentationMatrix, n: int) -> list[dict[int, int]]:
+    """Every column of the dense relation matrix as a row of ints, each
+    scaled by the lcm of its denominators: one row per injection."""
+    rows = []
     for column in zip(*dense_rows(relation_matrix_at(z, n))):
         column = {i: Fraction(v) for i, v in enumerate(column) if v}
         scale = lcm(*(v.denominator for v in column.values()))
-        echelon.add_row({i: int(v * scale) for i, v in column.items()})
+        rows.append({i: int(v * scale) for i, v in column.items()})
+    return rows
+
+
+@cache
+def every_relation_row_basis(z: PresentationMatrix, n: int) -> ReferenceEchelon:
+    """Every relation row fed in order to the reference echelon: the
+    oracle's evaluation without skipping a row.  Cached, as the trace
+    reference takes it once per drawn permutation; no caller changes
+    it."""
+    echelon = ReferenceEchelon()
+    for row in relation_rows(z, n):
+        echelon.add_row(row)
     return echelon
 
 
@@ -345,34 +354,34 @@ class TestRepeatedRows:
         assert ev._scale == lcm(*(row[col] for col, row in pivot_rows(reference).items()))
         assert_plan_layout(ev)
 
-    @pytest.mark.parametrize("z,fed", [
+    @pytest.mark.parametrize("z,distinct", [
         (NEGATED_REPEATS, 6), (SCALED_REPEATS, 12), (TRIANGLE, 8),
         (parse_presentation(E_FILE), 6),
     ])
-    def test_repeats_are_not_fed(self, monkeypatch, z, fed):
-        # at n = 4 each relation column of degree 2 gives 12 rows, and one
-        # of degree 3 or 4 gives 24; the triangle's relation is fixed by
-        # the 3-cycle and E's by the 4-cycle, so their rows arrive three
-        # and four times
-        calls = []
-        add_row = Echelon.add_row
-        monkeypatch.setattr(
-            Echelon, "add_row", lambda self, row: calls.append(row) or add_row(self, row)
-        )
-        evaluate_degree.cache_clear()
-        evaluate_degree(z, 4)
-        assert len(calls) == fed
+    def test_repeats_are_not_fed(self, monkeypatch, z, distinct):
+        # At n = 4 each relation column of degree 2 gives 12 rows, and one
+        # of degree 3 or 4 gives 24.  The rows of h and h o (2 1) are
+        # negatives in NEGATED_REPEATS, and the second column of
+        # SCALED_REPEATS repeats the first; the triangle's relation is
+        # fixed by the 3-cycle and E's by the 4-cycle, so their rows
+        # arrive three and four times.  No row is fed twice.
+        rows = {tuple(sorted(primitive(row).items())) for row in relation_rows(z, 4)}
+        fed = [tuple(sorted(row.items())) for row in fed_rows(monkeypatch, z, 4)[1]]
+        assert len(rows) == distinct
+        assert len(set(fed)) == len(fed) and set(fed) <= rows
 
 
 class TestFeedOrder:
     @pytest.mark.parametrize("z,n,cleared", [
         (parse_presentation(E_FILE), 8, 605),
-        (parse_presentation(workloads.rational2(0)), 6, 786),
+        (parse_presentation(workloads.rational2(0)), 6, 426),
     ])
     def test_earlier_rows_cleared(self, monkeypatch, z, n, cleared):
-        # Rows fed last first put almost every new pivot left of the kept
-        # ones, where no kept row has an entry to clear.  Fed first to
-        # last, these rows clear 3,657 and 5,275 earlier rows.
+        # Rows fed by least image point falling, then h falling, put almost
+        # every new pivot left of the kept ones, where no kept row has an
+        # entry to clear.  The same 288 and 236 rows fed in the opposite
+        # order clear 1,923 and 3,253 earlier rows.  Every distinct row,
+        # fed by relation column and then h, falling, cleared 605 and 786.
         counts = []
         add_row = Echelon.add_row
 
@@ -400,17 +409,26 @@ class TestFeedOrder:
 
 
 def all_injection_feed(z: PresentationMatrix, n: int) -> list[dict[int, int]]:
-    """The rows the oracle fed its echelon when it built one relation row
-    per injection h in Inj(y, n), in lexicographic order, dropping a row
-    equal up to a scalar to an earlier one and feeding the kept rows last
-    first.  Each kept row is the first h's, as built."""
+    """The rows the oracle feeds its echelon, built as one relation row
+    per injection h in Inj(y, n), each as built.
+
+    Each nonzero row is keyed by its relation column, its pattern (the
+    primitive row of h read through the order of its image, a row of
+    degree y), the gaps between consecutive points of h's image and the
+    number of points above it; each key keeps its least h.  The keys go
+    by the least point of the image falling, an empty image first, then
+    by relation column falling, then by h falling.  A key is dependent
+    when one of its one-step-smaller keys, one gap or the tail shortened
+    by one, is: its row is not fed.  Neither is a row equal up to a
+    scalar to an earlier one, which makes its key dependent, and a row
+    fed is dependent when the reference echelon finds it so."""
     offsets, index, total = [], [], 0
     for x in z.generator_degrees:
         block = all_injections(x, n)
         offsets.append(total)
         index.append({f: a for a, f in enumerate(block)})
         total += len(block)
-    kept = {}
+    keyed = {}
     for j, y in enumerate(z.relation_degrees):
         column = [
             (i, z.entries[(i, j)].terms)
@@ -421,19 +439,46 @@ def all_injection_feed(z: PresentationMatrix, n: int) -> list[dict[int, int]]:
             continue
         scale = lcm(*(c.denominator for _, terms in column for c in terms.values()))
         for h in all_injections(y, n):
-            row = {}
+            image = sorted(h)
+            pi = tuple(image.index(v) + 1 for v in h)
+            row, pattern = {}, {}
             for i, terms in column:
                 for g, c in terms.items():
                     flat = offsets[i] + index[i][compose(h, g)]
                     row[flat] = row.get(flat, 0) + int(c * scale)
-            items = sorted((k, v) for k, v in row.items() if v)
-            if not items:
+                    u = (i, compose(pi, g))
+                    pattern[u] = pattern.get(u, 0) + int(c * scale)
+            row = {k: v for k, v in row.items() if v}
+            if not row:
                 continue
-            c = gcd(*(v for _, v in items))
-            if items[0][1] < 0:
-                c = -c
-            kept.setdefault(tuple((k, v // c) for k, v in items), items)
-    return [dict(items) for items in reversed(kept.values())]
+            pattern = primitive({k: v for k, v in pattern.items() if v})
+            gaps = tuple(b - a - 1 for a, b in zip(image, image[1:]))
+            tail = n - image[-1] if image else 0
+            keyed.setdefault(
+                (j, tuple(sorted(pattern.items())), gaps, tail),
+                ((image[0] if image else n + 1, j, h), row),
+            )
+    dependent, seen, fed = set(), set(), []
+    reference = ReferenceEchelon()
+    for key in sorted(keyed, key=lambda key: keyed[key][0], reverse=True):
+        j, pattern, gaps, tail = key
+        row = keyed[key][1]
+        smaller = [
+            (j, pattern, gaps[:k] + (gaps[k] - 1,) + gaps[k + 1:], tail)
+            for k in range(len(gaps)) if gaps[k]
+        ] + [(j, pattern, gaps, tail - 1)] * (tail > 0)
+        if any(s in dependent for s in smaller):
+            dependent.add(key)
+            continue
+        shape = tuple(sorted(primitive(row).items()))
+        if shape in seen:
+            dependent.add(key)
+            continue
+        seen.add(shape)
+        fed.append(row)
+        if not reference.add_row(row):
+            dependent.add(key)
+    return fed
 
 
 def primitive(row: dict[int, int]) -> dict[int, int]:
@@ -511,6 +556,56 @@ class TestEchelonFeed:
             basis.add_row(row)
         assert ev.rank == basis.rank
         assert plan_pivot_rows(ev) == basis.pivots
+
+    @pytest.mark.parametrize("z,n,rank,fed", [
+        (NEGATED_REPEATS, 4, 3, 4),
+        (SCALED_REPEATS, 4, 4, 7),
+        (TRIANGLE, 4, 7, 8),
+        (parse_presentation(E_FILE), 4, 6, 6),
+        (parse_presentation(E_FILE), 10, 595, 623),
+        (TRIANGLE, 16, 225, 231),
+        (parse_presentation(workloads.rational2(0)), 8, 391, 478),
+    ])
+    def test_rows_fed(self, monkeypatch, z, n, rank, fed):
+        # NEGATED_REPEATS at n = 4: e_3 - e_4, e_2 - e_4 and the dependent
+        # e_2 - e_3 are fed, so the rows at (1, 2) and (1, 3), one step
+        # above (2, 3), are not, and e_1 - e_4 is.  SCALED_REPEATS: its
+        # second column goes first and feeds all 7; each row of the first
+        # repeats one of them or lies above a repeat.  The triangle and E:
+        # every row below n = 4 is independent, so each distinct row is
+        # fed, 8 of 24 and 6 of 24.  E at n = 10, the triangle at n = 16
+        # and rational2 at n = 8 have 1,260, 1,120 and 2,016 distinct rows.
+        ev, rows = fed_rows(monkeypatch, z, n)
+        assert (ev.rank, len(rows)) == (rank, fed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["random", "low relation", *DATA_PRESENTATIONS]),
+        st.integers(0, 2**32),
+        st.integers(0, 6),
+    )
+    def test_every_row_lies_in_the_span(self, kind, seed, n):
+        # every row of the dense relation matrix, skipped or not, reduces
+        # to zero against the evaluated basis, which has the rank of all
+        # of them
+        if kind in DATA_PRESENTATIONS:
+            z = DATA_PRESENTATIONS[kind]
+        else:
+            z = drawn_presentation(kind, random.Random(seed))
+        try:
+            ev = evaluate_degree(z, n)
+        except ResourceCapError:
+            return
+        basis = plan_pivot_rows(ev)
+        for row in relation_rows(z, n):
+            left = dict(row)
+            for col, v in row.items():
+                if col in basis:
+                    other = basis[col]
+                    for k, w in other.items():
+                        left[k] = left.get(k, 0) - Fraction(v * w, other[col])
+            assert not any(left.values())
+        assert ev.rank == every_relation_row_basis(z, n).rank
 
     def test_relation_above_the_degree_builds_nothing(self, monkeypatch):
         # a relation of degree 6 at n = 4 gives no row and enumerates no
