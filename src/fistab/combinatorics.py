@@ -59,15 +59,15 @@ def inverse(p):
 
 def sign(p) -> int:
     """Sign of a permutation, computed from its cycle decomposition."""
-    seen = [False] * len(p)
+    visited = [False] * len(p)
     s = 1
     for start in range(len(p)):
-        if seen[start]:
+        if visited[start]:
             continue
         length = 0
         v = start
-        while not seen[v]:
-            seen[v] = True
+        while not visited[v]:
+            visited[v] = True
             v = p[v] - 1
             length += 1
         if length % 2 == 0:

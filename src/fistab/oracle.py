@@ -25,8 +25,8 @@ primitive, from the flat index of a o u, found once per coordinate u.
 Most rows never reach the echelon.  The relation module and its
 syzygies are finitely generated FI-modules (Sam-Snowden,
 arXiv:1206.2233; Church-Ellenberg-Farb, arXiv:1204.4533), so almost
-every relation row at degree n is dependent for a reason already seen at
-a smaller degree.  The rows go by the least point m of their image,
+every relation row at degree n is dependent for a reason already shown
+at a smaller degree.  The rows go by the least point m of their image,
 from m = n down to 1 (an empty image, of a relation of degree 0, first),
 then by relation column falling, then by h falling.  A monotone
 relabelling keeps this order.  So the rows whose image lies in {m..n}
@@ -39,12 +39,10 @@ one has its least point at m + 1, and the monotone map of [n - m] into
 and each row before it to a row before this one.  So if that row lies in
 the span of the rows before it, this row does too: it is neither built
 nor fed.  The dependent keys form an up-set, so the y keys one step
-smaller are the only ones to check.
-A row equal to an earlier one is dependent as well and is not fed.  The
-span does not change and the basis is canonical, so nothing the oracle
-returns depends on which rows are skipped.  On E at n = 10, 623 rows are
-fed for a rank of 595, of 1,260 distinct rows (one row per injection
-would build 5,040); on the triangle at n = 16, 231 for 225, of 1,120;
+smaller are the only ones to check.  The span does not change and the
+basis is canonical, so nothing the oracle returns depends on which rows
+are skipped.  On E at n = 10, 623 rows are fed for a rank of 595, of
+1,260 distinct rows; on the triangle at n = 16, 231 for 225, of 1,120;
 on ``rational2`` at n = 8, 478 for 391, of 2,016.  In this order the
 leading columns mostly fall, so a new pivot almost always lies left of
 every kept pivot, where no kept row has an entry to clear: on E at
@@ -69,14 +67,12 @@ over its pivot value, L the lcm of the pivot values.  A trace then sums
 plain ints and divides once by L.  Every generator is traced alike: one
 with no relation entry of degree at most n has only free columns, and
 the plan lists each of them.  A trace reads as many columns as the
-cokernel has dimensions: on E at n = 10, 125, where the image side read
-its 595 basis rows; on the triangle at n = 16, 15 against 225; on
-``rational2`` at n = 8, 1 against 391.  Where the cokernel is the larger
-side it reads more: one entry summing the three cyclic shifts of
-[1 2 3] on a generator of degree 3, at n = 10, has rank 240 and a
-cokernel of dimension 480.  A free module is all cokernel: M(3) at
-n = 17 reads 4,080 columns per trace, where counting the injections
-sigma fixes would take one falling factorial.
+cokernel has dimensions: on E at n = 10, 125 for a rank of 595; on the
+triangle at n = 16, 15 for 225; on ``rational2`` at n = 8, 1 for 391.
+Where the cokernel is the larger side it reads more: one entry summing
+the three cyclic shifts of [1 2 3] on a generator of degree 3, at
+n = 10, has rank 240 and a cokernel of dimension 480.  A free module is
+all cokernel: M(3) at n = 17 reads 4,080 columns per trace.
 
 Decomposition takes one trace per vector (c_1, ..., c_g) of the numbers
 of cycles of each length up to g, the largest generator degree, weighted
@@ -112,7 +108,6 @@ from .combinatorics import (
     Partition,
     all_injections,
     check_partition,
-    check_permutation,
     class_representative,
     class_size,
     falling_factorial,
@@ -155,20 +150,21 @@ class DegreeEvaluation(Record):
     def cokernel_dim(self) -> int:
         return self.ambient_dim - self.rank
 
-    def permutation_trace(self, sigma) -> int:
-        """Character of the module at this degree, on any permutation.
+    def cokernel_trace(self, mu: Partition) -> int:
+        """Character of the module at this degree, on the class mu.
 
-        Summed over the free columns, times ``_scale``, so every term is
-        an int: ``_scale`` for each free column sigma fixes, and for each
-        free column f that sigma moves to a pivot, minus the pivot's
-        weight times its basis row at f.
+        Taken on sigma, the class representative of mu, and summed over
+        the free columns, times ``_scale``, so every term is an int:
+        ``_scale`` for each free column sigma fixes, and for each free
+        column f that sigma moves to a pivot, minus the pivot's weight
+        times its basis row at f.
         """
-        sigma = check_permutation(sigma)
-        if len(sigma) != self.n:
-            raise ValueError(f"permutation of {len(sigma)} points at degree {self.n}")
+        mu = check_partition(mu)
+        if sum(mu) != self.n:
+            raise ValueError(f"class {mu} is not a cycle type for degree {self.n}")
         scale, pivots = self._scale, self._pivots
         scaled = 0
-        act = (0, *sigma).__getitem__
+        act = (0, *class_representative(mu)).__getitem__
         for col, index, injection in self._plan:
             moved = index[tuple(map(act, injection))]
             if moved == col:
@@ -180,16 +176,9 @@ class DegreeEvaluation(Record):
         if remainder:
             raise ArithmeticError(
                 f"non-integer character value {Fraction(scaled, scale)} "
-                f"for {sigma}"
+                f"on the class {mu}"
             )
         return trace
-
-    def cokernel_trace(self, mu: Partition) -> int:
-        """Character of the module at this degree, on the class mu."""
-        mu = check_partition(mu)
-        if sum(mu) != self.n:
-            raise ValueError(f"class {mu} is not a cycle type for degree {self.n}")
-        return self.permutation_trace(class_representative(mu))
 
     def decompose(self) -> dict[Partition, int]:
         """Multiplicity of every irreducible at this degree.
@@ -479,11 +468,9 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     # huge.  For each monotone a, dependent holds the patterns whose row
     # at a lies in the span of the rows before it: those dependent at a
     # predecessor of a, whose rows a monotone map carries to a's (see the
-    # module docstring), and those the echelon or a repeat shows here.
-    # A row of the first kind is neither built nor fed, and a repeat is
-    # not fed.
+    # module docstring), and those the echelon shows here.  A row of the
+    # first kind is neither built nor fed.
     basis = Echelon()
-    seen = set()
     least = {m for _, _, starts, _ in relations for m in starts}
     for m in sorted(least, reverse=True):
         for coordinates, patterns, starts, dependent in reversed(relations):
@@ -502,10 +489,8 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
                 )
             rows.sort(reverse=True)
             for _, a, p, columns, values in rows:
-                row = (columns, values)
-                if row in seen or not basis.add_row(dict(zip(columns, values))):
+                if not basis.add_row(dict(zip(columns, values))):
                     dependent[a].add(p)
-                seen.add(row)
     # each pivot column with its basis row and L over its pivot value;
     # each free column with its generator's index and its injection
     scale = lcm(*(row[col] for col, row in basis.pivots.items()))
@@ -564,7 +549,7 @@ class VerificationReport(Record):
 
     ``pre_stable`` marks degrees below the onset bound, where mismatches
     carry no information; ``passed`` is only meaningful otherwise.
-    ``invisible`` lists shapes whose predicted count cannot be seen at
+    ``invisible`` lists shapes whose predicted count cannot show at
     this degree because their top row would be too short.
     """
 
@@ -597,8 +582,10 @@ def verify(z: PresentationMatrix, n: int | None = None) -> VerificationReport:
     onset = onset_bound(z)
     if n is None:
         n = onset
+    # the table first, so that its refusals come before the oracle's
     table = eventual_multiplicities(z)
-    observed = decompose_at(z, n)
+    evaluation = evaluate_degree(z, n)
+    observed = evaluation.decompose()
     checks = []
     for mu in partitions(n):
         tail = mu[1:]
@@ -614,7 +601,7 @@ def verify(z: PresentationMatrix, n: int | None = None) -> VerificationReport:
         onset=onset,
         checks=tuple(checks),
         invisible=invisible,
-        oracle_dimension=dimension_at(z, n),
+        oracle_dimension=evaluation.cokernel_dim,
         polynomial_dimension=dimension_polynomial(z, table)(n),
     )
 

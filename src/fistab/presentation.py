@@ -61,7 +61,7 @@ from .combinatorics import (
     sorting_permutation,
 )
 from .ratmat import RationalMatrix, _norm
-from .record import Record, _restore
+from .record import Record
 from .specht import specht_action, specht_rows
 
 
@@ -168,20 +168,12 @@ class PresentationMatrix(Record):
         return len(self.generator_degrees)
 
     @property
-    def num_relations(self) -> int:
-        return len(self.relation_degrees)
-
-    @property
     def max_generator_degree(self) -> int:
         return max(self.generator_degrees, default=0)
 
     @property
     def max_relation_degree(self) -> int:
         return max(self.relation_degrees, default=0)
-
-    def entry(self, i: int, j: int) -> FormalSum:
-        zero = FormalSum(self.generator_degrees[i], self.relation_degrees[j])
-        return self.entries.get((i, j), zero)
 
     def __hash__(self):
         return hash((
@@ -544,11 +536,9 @@ def _reduced_presentation(z: PresentationMatrix, k: int) -> PresentationMatrix:
     kept_rows = [row for row in rows if row is not None]
     kept_cols = [q for q, col in enumerate(cols) if col is not None]
     renumber = {q: a for a, q in enumerate(kept_cols)}
-    # every term is a permutation of [k] with a nonzero int coefficient,
-    # so the sums are made without the constructor's checks
     return PresentationMatrix(
         (k,) * len(kept_rows), (k,) * len(renumber),
-        {(r, renumber[q]): _restore(FormalSum, (k, k, entry))
+        {(r, renumber[q]): FormalSum(k, k, entry)
          for r, row in enumerate(kept_rows) for q, entry in row.items()},
     )
 

@@ -146,7 +146,7 @@ class Echelon:
                 holders.setdefault(k, set()).add(lead)
         for p in holders.pop(lead, ()):
             other = pivots[p]
-            a, size = other[lead], len(other)
+            a = other[lead]
             g = gcd(a, b)
             m1, m2 = b // g, a // g
             pivot = other[p]
@@ -173,10 +173,6 @@ class Echelon:
                 if c > 1:
                     for k in other:
                         other[k] //= c
-            # deleting keys never shrinks a dict's table, so a row that
-            # shrank is copied into a table sized for what it holds
-            if len(other) < size:
-                pivots[p] = dict(other)
         pivots[lead] = new
         return True
 

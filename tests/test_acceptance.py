@@ -184,7 +184,7 @@ def test_criterion_7_golden_matrices(e_presentation):
         [0, 0, 0, 1, 0, 0],
     ])
     # the four-term cyclic sum
-    assert induced_raw_sum((2,), e_presentation.entry(0, 0)) == dense([
+    assert induced_raw_sum((2,), e_presentation.entries[(0, 0)]) == dense([
         [1, 0, 1, 1, 0, 1],
         [0, 2, 0, 0, 2, 0],
         [1, 0, 1, 1, 0, 1],

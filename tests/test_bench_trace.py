@@ -110,9 +110,12 @@ def test_every_cache_reader_returns_an_int(trace):
 
 
 def test_verify_builds_the_table_once(trace):
+    # and evaluates its degree once, for the decomposition and the
+    # dimension alike
     names = [span[0] for span in trace["spans"]]
     assert names.count("multiplicity.table") == 1
     assert names.count("multiplicity.polynomial") == 1
+    assert names.count("oracle.evaluate") == 1
 
 
 def test_every_required_table_span_is_recorded(table_traces):

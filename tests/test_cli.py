@@ -61,7 +61,7 @@ class TestParser:
         z = parse_presentation(
             "generators: 1\nrelations: 2\nentry 1 1 : 1/2*[1] - [2]\n"
         )
-        assert z.entry(0, 0) == FormalSum(
+        assert z.entries[(0, 0)] == FormalSum(
             1, 2, {(1,): Fraction(1, 2), (2,): -1}
         )
 
@@ -69,13 +69,13 @@ class TestParser:
         z = parse_presentation(
             "generators: 1\nrelations: 2\nentry 1 1 : -[1] + [1] + 2*[2]\n"
         )
-        assert z.entry(0, 0) == FormalSum(1, 2, {(2,): 2})
+        assert z.entries[(0, 0)] == FormalSum(1, 2, {(2,): 2})
 
     def test_empty_injection_term(self):
         z = parse_presentation(
             "generators: 0\nrelations: 1\nentry 1 1 : []\n"
         )
-        assert z.entry(0, 0) == FormalSum(0, 1, {(): 1})
+        assert z.entries[(0, 0)] == FormalSum(0, 1, {(): 1})
 
     def test_comments_and_blank_lines(self):
         text = "# header\n\ngenerators: 1  # one generator\nrelations: 1\n"

@@ -133,7 +133,6 @@ class TestPresentationMatrix:
     def test_zero_entries_dropped(self):
         z = PresentationMatrix((1,), (2,), {(0, 0): FormalSum(1, 2)})
         assert z.entries == {}
-        assert z.entry(0, 0).is_zero
 
 
 class TestTransportOfInjections:
@@ -207,7 +206,7 @@ class TestTransportOfSums:
             [0, 2, 0, 0, 2, 0],
             [1, 0, 1, 1, 0, 1],
         ])
-        assert induced_raw_sum((2,), e_presentation.entry(0, 0)) == expected
+        assert induced_raw_sum((2,), e_presentation.entries[(0, 0)]) == expected
         assert expected.corank() == 1
 
     def test_zero_sum(self):
@@ -215,7 +214,7 @@ class TestTransportOfSums:
         assert m == zeros(2 * 1, 3 * 1)
 
     def test_single_box_corank(self, e_presentation):
-        assert induced_raw_sum((1,), e_presentation.entry(0, 0)).corank() == 2
+        assert induced_raw_sum((1,), e_presentation.entries[(0, 0)]).corank() == 2
 
     def test_linearity(self):
         rng = random.Random(41)
@@ -283,12 +282,14 @@ class TestTransportOfPresentations:
         ]
         for z in candidates:
             # every injection replaced by 1: each entry's coefficient sum
+            columns = len(z.relation_degrees)
             sums = [
-                [sum(z.entry(i, j).terms.values()) for j in range(z.num_relations)]
+                [sum(z.entries[(i, j)].terms.values()) if (i, j) in z.entries else 0
+                 for j in range(columns)]
                 for i in range(z.num_generators)
             ]
-            assert induced_raw_presentation((), z) == dense(sums, z.num_relations)
-            assert augmentation_matrix(z) == dense(sums, z.num_relations)
+            assert induced_raw_presentation((), z) == dense(sums, columns)
+            assert augmentation_matrix(z) == dense(sums, columns)
 
 
 # Coefficients, degrees and entry counts that the seeded corpus of
