@@ -22,34 +22,40 @@ as a pattern with the first pi that gave it.  The row of a pattern at a
 monotone a is then read off by list lookups, already sorted and
 primitive, from the flat index of a o u, found once per coordinate u.
 
-Most rows never reach the echelon.  The relation module and its
-syzygies are finitely generated FI-modules (Sam-Snowden,
-arXiv:1206.2233; Church-Ellenberg-Farb, arXiv:1204.4533), so almost
-every relation row at degree n is dependent for a reason already shown
-at a smaller degree.  The rows go by the least point m of their image,
-from m = n down to 1 (an empty image, of a relation of degree 0, first),
-then by relation column falling, then by h falling.  A monotone
-relabelling keeps this order.  So the rows whose image lies in {m..n}
-come first, and moved down to [n - m + 1] they are exactly that degree's
-rows, in that degree's order.  Key each row by its relation column, its
-pattern, the gaps between consecutive points of its image and the
-number of points above it.  A key with one gap, or that tail, shorter by
-one has its least point at m + 1, and the monotone map of [n - m] into
-[n - m + 1] that inserts the missing point carries its row to this one,
-and each row before it to a row before this one.  So if that row lies in
-the span of the rows before it, this row does too: it is neither built
-nor fed.  The dependent keys form an up-set, so the y keys one step
-smaller are the only ones to check.  The span does not change and the
+Most rows never reach the echelon.  The relation module and its syzygies
+are finitely generated FI-modules (Sam-Snowden, arXiv:1206.2233;
+Church-Ellenberg-Farb, arXiv:1204.4533), so almost every relation row at
+degree n is dependent for a reason already shown at a smaller degree.
+The rows go by the least point m of their image, from m = n down to 1
+(an empty image, of a relation of degree 0, first), then by relation
+column falling, then by h falling.  A monotone relabelling keeps this
+order.  So the rows whose image lies in {m..n} come first, and moved
+down to [n - m + 1] they are exactly that degree's rows, in that
+degree's order.  A monotone a is keyed by the gaps between its
+consecutive points and its tail, the number of points above it.  Its
+predecessors, one step smaller in one gap or in the tail, start at
+m + 1, and the monotone map of [n - m] into [n - m + 1] that inserts the
+missing point carries a pattern's row at a predecessor to its row at a,
+and each row before it to a row before this one.  So a pattern dependent
+at a predecessor is dependent at a: its row is neither built nor fed.
+Each relation walks down from its monotone with no gap and no tail.  A
+monotone is built once each predecessor has sent it its dependent
+patterns, as an int bitmask, and feeds the others.  Then, unless every
+pattern is dependent, it sends the dependent ones to its y successors,
+which lower its points up to one gap, or all of them, by one: nothing
+past an all-dependent monotone is enumerated.  Every sender fed an
+independent row, so each relation examines at most y times the rank plus
+one monotones, whatever C(n, y) is.  The span does not change and the
 basis is canonical, so nothing the oracle returns depends on which rows
-are skipped.  On E at n = 10, 623 rows are fed for a rank of 595, of
-1,260 distinct rows; on the triangle at n = 16, 231 for 225, of 1,120;
-on ``rational2`` at n = 8, 478 for 391, of 2,016.  In this order the
-leading columns mostly fall, so a new pivot almost always lies left of
-every kept pivot, where no kept row has an entry to clear: on E at
-n = 8 the 260 independent rows clear 605 earlier rows, against 1,923
-when the same rows are fed in the opposite order.  The dense relation
-matrix is built only in the tests, as the reference the ranks are
-checked against.
+are skipped.  On E at n = 10, 168 of 210 monotones are examined and 623
+rows fed for a rank of 595, of 1,260 distinct rows; on the triangle at
+n = 16, 210 of 560 and 231 for 225, of 1,120; on ``rational2`` at n = 8,
+76 of 126 and 478 for 391, of 2,016.  In this order the leading columns
+mostly fall, so a new pivot almost always lies left of every kept pivot,
+where no kept row has an entry to clear: on E at n = 8 the 260
+independent rows clear 605 earlier rows, against 1,923 when the same
+rows are fed in the opposite order.  The dense relation matrix is built
+only in the tests, as the reference the ranks are checked against.
 
 Traces are taken on the cokernel side.  The echelon keeps its basis
 fully reduced as rows arrive: every basis row is zero at every other
@@ -113,7 +119,6 @@ from .combinatorics import (
     falling_factorial,
     hook_length_count,
     horizontal_strip_removals,
-    monotone_injections,
     partitions,
 )
 from .multiplicity import dimension_polynomial, eventual_multiplicities, onset_bound
@@ -413,21 +418,6 @@ def _patterns(column, y: int) -> tuple[list, list]:
     ]
 
 
-def _predecessors(a: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """The monotone injections into [n] one step smaller than a.
-
-    A monotone a is keyed by the gaps between its consecutive points and
-    the number of points above its last one.  Shortening the gap after
-    a[k] by one, or the tail after the last point, moves a[0], ..., a[k]
-    up by one; each result starts at a[0] + 1.
-    """
-    bounds = a[1:] + (n + 1,)
-    return [
-        tuple(v + 1 for v in a[:k + 1]) + a[k + 1:]
-        for k in range(len(a)) if a[k] + 1 < bounds[k]
-    ]
-
-
 @lru_cache(maxsize=16)
 def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     # for each generator, each injection's flat column
@@ -438,8 +428,9 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
         index.append({f: total + a for a, f in enumerate(block)})
         total += len(block)
 
-    # each relation column with its coordinates, its patterns, its
-    # monotone injections by their least point, and its dependent rows
+    # each relation column with its coordinates, its patterns, the least
+    # point of its pending monotones, and for each of those how many
+    # predecessors have sent to it and the union of what they sent
     relations = []
     for j, y in enumerate(z.relation_degrees):
         column = [
@@ -457,40 +448,48 @@ def _evaluate(z: PresentationMatrix, n: int) -> DegreeEvaluation:
             for i, terms in column
         ], y)
         coordinates = [(index[i], _precomposer(u)) for i, u in coordinates]
-        starts: dict[int, list] = {}
-        for a in monotone_injections(y, n):
-            starts.setdefault(a[0] if a else n + 1, []).append(a)
-        relations.append((coordinates, patterns, starts, {}))
+        start = tuple(range(n - y + 1, n + 1))
+        level = start[0] if y else n + 1
+        relations.append([coordinates, patterns, level, {start: [0, 0]}])
 
     # Rows go by least image point falling, an empty image first, then
-    # relation column falling, then h falling.  Only the least points
-    # that occur are visited: with every relation of degree 0, n can be
-    # huge.  For each monotone a, dependent holds the patterns whose row
-    # at a lies in the span of the rows before it: those dependent at a
-    # predecessor of a, whose rows a monotone map carries to a's (see the
-    # module docstring), and those the echelon shows here.  A row of the
-    # first kind is neither built nor fed.
+    # relation column falling, then h falling (see the module docstring).
+    # Only least points with a pending monotone are visited: n can be huge.
     basis = Echelon()
-    least = {m for _, _, starts, _ in relations for m in starts}
-    for m in sorted(least, reverse=True):
-        for coordinates, patterns, starts, dependent in reversed(relations):
-            rows = []
-            for a in starts.get(m, ()):
-                dependent[a] = skip = set().union(
-                    *(dependent[b] for b in _predecessors(a, n))
-                )
-                if len(skip) == len(patterns):
+    while any(pending for *_, pending in relations):
+        m = max(level for *_, level, pending in relations if pending)
+        for relation in reversed(relations):
+            coordinates, patterns, level, pending = relation
+            if level != m:
+                continue
+            full = (1 << len(patterns)) - 1
+            built, rows = {}, []
+            for a, (received, skip) in pending.items():
+                # a predecessor for each positive gap, and for a positive tail
+                if received < len({v + 1 for v in a} - {*a, n + 1}) or skip == full:
                     continue
+                built[a] = skip
                 flat = [positions[lift(a)] for positions, lift in coordinates]
                 rows.extend(
                     (lift(a), a, p, tuple(map(flat.__getitem__, places)), values)
                     for p, (lift, places, values) in enumerate(patterns)
-                    if p not in skip
+                    if not skip >> p & 1
                 )
             rows.sort(reverse=True)
             for _, a, p, columns, values in rows:
                 if not basis.add_row(dict(zip(columns, values))):
-                    dependent[a].add(p)
+                    built[a] |= 1 << p
+            # a monotone with every pattern dependent sends nothing
+            successors = {}
+            for a, mask in built.items():
+                if m == 1 or mask == full:
+                    continue
+                for k in range(len(a)):
+                    b = tuple(v - 1 for v in a[:k + 1]) + a[k + 1:]
+                    entry = successors.setdefault(b, [0, 0])
+                    entry[0] += 1
+                    entry[1] |= mask
+            relation[2:] = m - 1, successors
     # each pivot column with its basis row and L over its pivot value;
     # each free column with its generator's index and its injection
     scale = lcm(*(row[col] for col, row in basis.pivots.items()))

@@ -75,10 +75,10 @@ def _check_ints(values, noun: str, owner: str = "") -> None:
 class FormalSum(Record):
     """A finite rational linear combination of injections [x] -> [y].
 
-    ``terms`` maps injection tuples to nonzero coefficients, made from
-    exact inputs only: an int where integral, as in a RationalMatrix, and
-    a Fraction otherwise.  A float coefficient, or an arity or image that
-    is not an int, raises TypeError.  Zero coefficients are dropped on
+    ``terms`` maps injection tuples to nonzero coefficients, each given as
+    an int or a Fraction and kept as an int where integral, as in a
+    RationalMatrix.  Any other coefficient, or an arity or image that is
+    not an int, raises TypeError.  Zero coefficients are dropped on
     construction, so equality of sums is equality of (source, target,
     terms).  The hash is taken over the sorted terms, as ``terms`` is a
     dict; an int and its equal Fraction hash alike.
@@ -90,7 +90,7 @@ class FormalSum(Record):
         _check_ints((source, target), "arity")
         if source < 0 or target < 0:
             raise ValueError("arities must be non-negative")
-        merged: dict[tuple[int, ...], Fraction] = {}
+        merged: dict[tuple[int, ...], int | Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else (terms or ())
         for images, coeff in items:
             images = tuple(images)
@@ -105,12 +105,12 @@ class FormalSum(Record):
                 raise ValueError(
                     f"injection {images} leaves the target range 1..{target}"
                 )
-            if isinstance(coeff, float):
+            if not isinstance(coeff, (int, Fraction)):
                 raise TypeError(
-                    f"coefficient {coeff!r} of injection {images} is a float; "
-                    "use an int or a Fraction"
+                    f"coefficient {coeff!r} of injection {images} is a "
+                    f"{type(coeff).__name__}; use an int or a Fraction"
                 )
-            merged[images] = merged.get(images, 0) + Fraction(coeff)
+            merged[images] = merged.get(images, 0) + coeff
         object.__setattr__(
             self, "terms", {f: _norm(c) for f, c in merged.items() if c != 0}
         )

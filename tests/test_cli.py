@@ -173,6 +173,31 @@ def e_file(tmp_path):
     return str(path)
 
 
+def run_in_one_gib(tmp_path, text, argv, cap=None):
+    """Run the CLI, on text written to a file when given, in a child that
+    bounds its own address space to 1 GiB, so a size guard that stops
+    holding fails with a MemoryError instead of exhausting the memory of
+    the test run.  FISTAB_ORACLE_CAP is cap, or unset."""
+    if text is not None:
+        path = tmp_path / "input.fipres"
+        path.write_text(text, encoding="utf-8")
+        argv = [argv[0], str(path), *argv[1:]]
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from fistab.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("FISTAB_ORACLE_CAP", None)
+    if cap is not None:
+        env["FISTAB_ORACLE_CAP"] = str(cap)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 # what the commands print on E is pinned in tests/data (tests/test_pins.py)
 # and in the acceptance criteria
 class TestCommands:
@@ -449,27 +474,18 @@ class TestCommands:
                 "--perm", ",".join(map(str, range(1, 1501)))], 0, "[ 1 ]\n"),
     ])
     def test_huge_inputs_end_at_once(self, tmp_path, text, argv, code, expected):
-        # each case runs in a child that bounds its own address space to
-        # 1 GiB, so a size guard that stops holding fails the case with a
-        # MemoryError instead of exhausting the memory of the test run
-        if text is not None:
-            path = tmp_path / "input.fipres"
-            path.write_text(text, encoding="utf-8")
-            argv = [argv[0], str(path), *argv[1:]]
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from fistab.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        env.pop("FISTAB_ORACLE_CAP", None)
-        result = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        result = run_in_one_gib(tmp_path, text, argv)
         assert result.returncode == code, result.stderr
         assert (result.stderr if code else result.stdout).startswith(expected)
+
+    def test_huge_degree_walk_ends_at_once(self, tmp_path):
+        # 10**7 relation columns fit a cap of 10**6.  The row at (n,) is
+        # fed, the equal row at (n - 1,) is dependent, and no monotone
+        # past it is enumerated: two rows, not a list of 10**7 monotones.
+        text = "generators: 0\nrelations: 1\nentry 1 1 : []\n"
+        argv = ["evaluate", "--n", str(10**7)]
+        result = run_in_one_gib(tmp_path, text, argv, cap=10**6)
+        assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
 
     @pytest.mark.parametrize("raw", ["ten", "2.5", "0", "-1"])
     def test_bad_cap_exit_code(self, e_file, capsys, monkeypatch, raw):

@@ -542,6 +542,9 @@ class TestEchelonFeed:
         (parse_presentation(E_FILE), 10, 595, 623),
         (TRIANGLE, 16, 225, 231),
         (parse_presentation(workloads.rational2(0)), 8, 391, 478),
+        (parse_presentation(E_FILE), 9, 405, 433),
+        (TRIANGLE, 14, 169, 175),
+        (TRIANGLE, 15, 196, 202),
     ])
     def test_rows_fed(self, monkeypatch, z, n, rank, fed):
         # NEGATED_REPEATS at n = 4: e_3 - e_4, e_2 - e_4 and the dependent
@@ -553,7 +556,8 @@ class TestEchelonFeed:
         # so 9 are fed.  The triangle and E: every row below n = 4 is
         # independent, so each distinct row is fed, 8 of 24 and 6 of 24.
         # E at n = 10, the triangle at n = 16 and rational2 at n = 8 have
-        # 1,260, 1,120 and 2,016 distinct rows.
+        # 1,260, 1,120 and 2,016 distinct rows.  With E at n = 9 and the
+        # triangle at n = 14 and 15, every feed of the benchmark is pinned.
         ev, rows = fed_rows(monkeypatch, z, n)
         assert (ev.rank, len(rows)) == (rank, fed)
 

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
@@ -82,8 +83,14 @@ class TestFormalSum:
             FormalSum(1, 2, {(1,): 0.1})
         with pytest.raises(TypeError, match="float"):
             FormalSum(1, 2, [((2,), 1), ((1,), 2.0)])
-        s = FormalSum(1, 2, {(1,): "1/3", (2,): Fraction(1, 2)})
-        assert s.terms == {(1,): Fraction(1, 3), (2,): Fraction(1, 2)}
+        # a str or a Decimal is refused too, as a str degree is, and not
+        # read through Fraction
+        with pytest.raises(TypeError, match=r"'2' of injection \(1,\) is a str"):
+            FormalSum(1, 2, {(1,): "2"})
+        with pytest.raises(TypeError, match="is a Decimal"):
+            FormalSum(1, 2, {(1,): Decimal("0.5")})
+        s = FormalSum(1, 2, {(1,): 3, (2,): Fraction(1, 2)})
+        assert s.terms == {(1,): 3, (2,): Fraction(1, 2)}
 
     def test_rejects_non_int_arities(self):
         with pytest.raises(TypeError, match=r"arity 2\.0 is not an int"):
