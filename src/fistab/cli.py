@@ -20,11 +20,7 @@ from .combinatorics import (
     monotone_injections,
     partitions,
 )
-from .multiplicity import (
-    check_transport_size,
-    dimension_polynomial,
-    eventual_multiplicities,
-)
+from .multiplicity import dimension_polynomial, eventual_multiplicities
 from .oracle import decompose_at, dimension_at, verify
 from .presentation import (
     PresentationMatrix,
@@ -165,7 +161,7 @@ def _specht(args):
             f"shape {list(shape)} has size {sum(shape)} but the permutation "
             f"moves {len(perm)} points"
         )
-    check_cells(shape, hook_length_count(shape))
+    check_cells(shape)
     return {}, [str(specht_action(shape, perm))]
 
 
@@ -195,7 +191,7 @@ def _amatrix_labels(z: PresentationMatrix, shape) -> tuple[list[str], list[str]]
 def _amatrix(args):
     z = _load(args.file)
     shape = _parse_shape(args.shape)
-    check_transport_size(z, shape)
+    check_cells(shape, z)
     matrix = induced_raw_presentation(shape, z)
     row_labels, col_labels = _amatrix_labels(z, shape)
     cells = matrix.cells()

@@ -142,6 +142,8 @@ def monotone_part(f) -> tuple[int, ...]:
 def check_partition(lam) -> Partition:
     """Validate and return lam as a partition tuple."""
     lam = tuple(lam)
+    if not all(isinstance(v, int) for v in lam):
+        raise ValueError(f"{lam} has a part that is not an int")
     for a, b in zip(lam, lam[1:]):
         if b > a:
             raise ValueError(f"{lam} is not in non-increasing order")

@@ -28,7 +28,7 @@ with j.  That leaves (f^lam / k!) prod (n - i) over k values i in
 """
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import factorial, lcm
 
 from .budget import check_cells
 from .combinatorics import (
@@ -64,20 +64,6 @@ class MultiplicityTable(Record):
         return iter(self.counts.items())
 
 
-def check_transport_size(z: PresentationMatrix, lam: Partition) -> None:
-    """Refuse shape lam if its transported matrix of z is over the budget.
-
-    The matrix has sum_i C(x_i, |lam|) block rows and sum_j C(y_j, |lam|)
-    block columns, each block f^lam square.  With no blocks at all it is
-    empty, and f^lam is not computed.
-    """
-    k = sum(lam)
-    row_blocks = sum(comb(x, k) for x in z.generator_degrees)
-    col_blocks = sum(comb(y, k) for y in z.relation_degrees)
-    if row_blocks or col_blocks:
-        check_cells(lam, hook_length_count(lam), row_blocks, col_blocks)
-
-
 def eventual_multiplicities(z: PresentationMatrix) -> MultiplicityTable:
     """Corank of the transported presentation, for every relevant shape.
 
@@ -89,7 +75,7 @@ def eventual_multiplicities(z: PresentationMatrix) -> MultiplicityTable:
     sizes = range(z.max_generator_degree + 1)
     for size in sizes:
         for lam in partitions(size):
-            check_transport_size(z, lam)
+            check_cells(lam, z)
     counts = {}
     for size in sizes:
         core = _reduced_presentation(z, size)
@@ -188,7 +174,6 @@ def dimension_polynomial(
 __all__ = [
     "DimensionPolynomial",
     "MultiplicityTable",
-    "check_transport_size",
     "dimension_polynomial",
     "eventual_multiplicities",
     "onset_bound",

@@ -93,15 +93,8 @@ sum of K_{lam mu} m_lam over lam dominating mu.  The system is solved in
 descending lexicographic order, and the top shapes' multiplicities times
 their dimensions must add up to dim M[n].
 
-Because work grows quickly with the degree, evaluation refuses degrees
-beyond a budget: ambient rows above the cap (default 5000) or relation
-columns above ten times it.  Decomposition also refuses a degree whose
-class count p(n), squared, exceeds a hundred times the cap, before any
-trace is taken: it groups every class by its short cycles and pairs
-every top shape with every group, and there are at most p(n) of each.
-At the default cap that admits n <= 20 and refuses n = 21.  Override
-with FISTAB_ORACLE_CAP (:mod:`fistab.budget`).  The budget is checked on
-every call, before the cache of evaluated degrees is consulted.
+Every budget, checked before the work it bounds, is in
+:mod:`fistab.budget`.
 """
 
 from fractions import Fraction
@@ -109,14 +102,13 @@ from functools import cache, lru_cache
 from math import comb, factorial, gcd, lcm
 from operator import itemgetter
 
-from .budget import ROW_CAP_ENV, ResourceCapError, figure, row_cap
+from .budget import ResourceCapError, check_classes, check_degree
 from .combinatorics import (
     Partition,
     all_injections,
     check_partition,
     class_representative,
     class_size,
-    falling_factorial,
     hook_length_count,
     horizontal_strip_removals,
     partitions,
@@ -220,7 +212,7 @@ class DegreeEvaluation(Record):
         indicates an internal inconsistency and raises ArithmeticError.
         """
         n = self.n
-        _check_class_budget(n)
+        check_classes(n)
         g = min(self._z.max_generator_degree, n)
         # each vector of counts keeps its first class and its classes' size
         groups: dict[tuple[int, ...], list] = {}
@@ -309,66 +301,6 @@ def _kostka(lam: Partition, mu: Partition) -> int:
         return int(lam == mu)
     removals = horizontal_strip_removals(lam, sum(lam) - mu[-1])
     return sum(_kostka(rho, mu[:-1]) for rho in removals)
-
-
-def _excess(n: int, degrees, bound: int) -> str | None:
-    """The injections [d] -> [n] summed over degrees, as text, if there
-    are more than bound of them; None if not.
-
-    With d <= n every factor of falling_factorial(n, d) but the last is
-    at least 2, so a degree d above bound.bit_length() alone gives more
-    than bound and is not multiplied out.
-    """
-    if any(bound.bit_length() < d <= n for d in degrees):
-        return f"more than {bound}"
-    count = sum(falling_factorial(n, d) for d in degrees)
-    return figure(count) if count > bound else None
-
-
-def _check_budget(z: PresentationMatrix, n: int) -> None:
-    """Refuse a degree whose ambient rows or relation columns exceed the
-    configured budget."""
-    cap = row_cap()
-    rows = _excess(n, z.generator_degrees, cap)
-    if rows:
-        raise ResourceCapError(
-            f"degree {n} needs {rows} ambient rows, cap is {cap} "
-            f"(raise {ROW_CAP_ENV} to override)"
-        )
-    columns = _excess(n, z.relation_degrees, 10 * cap)
-    if columns:
-        raise ResourceCapError(
-            f"degree {n} needs {columns} relation columns, budget is "
-            f"{10 * cap} (raise {ROW_CAP_ENV} to override)"
-        )
-
-
-def _check_class_budget(n: int) -> None:
-    """Refuse to decompose a degree with more than sqrt(100 * cap) classes.
-
-    Decomposing groups every class by its numbers of short cycles and
-    sums the fixed tabloids of every top shape over every group; both
-    number at most p(n), so the budget bounds p(n)^2.  Euler's pentagonal
-    number recurrence counts p(m) from m = 0 up, enumerating no
-    partition, and stops at the first count over the budget.
-    """
-    budget = 100 * row_cap()
-    counts: list = []
-    for m in range(n + 1):
-        classes = sum(
-            (-1) ** (k + 1) * counts[m - j]
-            for k in range(1, m + 1)
-            for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if j <= m
-        ) if m else 1
-        counts.append(classes)
-        if classes * classes > budget:
-            at_least = "" if m == n else "at least "
-            raise ResourceCapError(
-                f"degree {n} has {at_least}{classes} classes; {classes}^2 = "
-                f"{classes * classes} is over the class budget of {budget}, "
-                f"which bounds the (shape, cycle count) pairs that decomposing "
-                f"sums over (raise {ROW_CAP_ENV} to override)"
-            )
 
 
 def _precomposer(g):
@@ -512,7 +444,7 @@ def evaluate_degree(z: PresentationMatrix, n: int) -> DegreeEvaluation:
     """
     if n < 0:
         raise ValueError(f"negative degree {n}")
-    _check_budget(z, n)
+    check_degree(z, n)
     return _evaluate(z, n)
 
 
@@ -606,7 +538,6 @@ def verify(z: PresentationMatrix, n: int | None = None) -> VerificationReport:
 
 
 __all__ = [
-    "ROW_CAP_ENV",
     "DegreeEvaluation",
     "ResourceCapError",
     "ShapeCheck",

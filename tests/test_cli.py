@@ -472,6 +472,10 @@ class TestCommands:
         # a shape of 1500 boxes in one row has one tableau (no input file)
         (None, ["specht", "--shape", "1500",
                 "--perm", ",".join(map(str, range(1, 1501)))], 0, "[ 1 ]\n"),
+        # a binomial too large to multiply out, C(10^9, 10^5) block rows
+        ("generators: 1000000000\nrelations:\n",
+         ["amatrix", "--shape", "100000"], 2,
+         "error: shape (100000,) needs more than"),
     ])
     def test_huge_inputs_end_at_once(self, tmp_path, text, argv, code, expected):
         result = run_in_one_gib(tmp_path, text, argv)

@@ -84,6 +84,17 @@ class TestPartitions:
         with pytest.raises(ValueError):
             check_partition((2, 0))
         assert check_partition([3, 1]) == (3, 1)
+        # a bool is an int
+        assert check_partition((True,)) == (1,)
+
+    @pytest.mark.parametrize("lam", [(1.5,), (2.0, 1), (2, "1")])
+    def test_a_part_that_is_not_an_int_is_refused(self, lam):
+        with pytest.raises(ValueError, match="not an int"):
+            check_partition(lam)
+
+    def test_hook_length_count_refuses_a_part_that_is_not_an_int(self):
+        with pytest.raises(ValueError, match="not an int"):
+            hook_length_count((1.5,))
 
     def test_conjugate(self):
         assert conjugate((3, 1)) == (2, 1, 1)

@@ -88,6 +88,8 @@ class TestMultiplicities:
             table[(1, 2)]
         with pytest.raises(ValueError, match="non-positive"):
             table[(2, 1, 0)]
+        with pytest.raises(ValueError, match="not an int"):
+            table[(1.5,)]
 
     def test_invariants_match_empty_shape(self, e_presentation):
         rng = random.Random(101)

@@ -20,6 +20,7 @@ from fistab.combinatorics import (
     inverse,
     partitions,
 )
+from fistab.budget import check_classes
 from fistab.cli import parse_presentation
 from fistab.oracle import (
     DegreeEvaluation,
@@ -662,6 +663,17 @@ class TestDimension:
         with pytest.raises(ResourceCapError, match="relation columns"):
             dimension_at(z, 40)
 
+    def test_relation_columns_without_an_entry_are_not_counted(self):
+        # evaluation skips such a column: 12! of them at n = 12 here
+        free = parse_presentation("generators: 1\nrelations: 12\n")
+        assert dimension_at(free, 12) == 12
+        # 13!/1 columns at n = 13, verify's default, where the module
+        # without the zero relation passes
+        quotient = "generators: 1\nrelations: 2{}\nentry 1 1 : [1] - [2]\n"
+        report = verify(parse_presentation(quotient.format(" 12")))
+        assert (report.n, report.passed) == (13, True)
+        assert report.checks == verify(parse_presentation(quotient.format("")), 13).checks
+
     def test_worked_example_within_budget(self, e_presentation):
         # the 720 x 5040 system at degree 10 must stay allowed
         assert dimension_at(e_presentation, 10) == 125
@@ -910,7 +922,7 @@ class TestDecompose:
 
     def test_class_budget_enumerates_no_partition(self):
         partitions.cache_clear()
-        oracle._check_class_budget(16)
+        check_classes(16)
         assert partitions.cache_info().currsize == 0
 
     @pytest.mark.parametrize("cap", [1, 25, 5000, 100000])
@@ -920,11 +932,11 @@ class TestDecompose:
         monkeypatch.setenv("FISTAB_ORACLE_CAP", str(cap))
         first = next(n for n in range(100) if len(partitions(n)) ** 2 > 100 * cap)
         for n in range(first):
-            oracle._check_class_budget(n)
+            check_classes(n)
         with pytest.raises(
             ResourceCapError, match=f"degree {first} has {len(partitions(first))} "
         ):
-            oracle._check_class_budget(first)
+            check_classes(first)
 
     def test_class_budget_is_checked_before_any_trace(self, monkeypatch):
         def no_trace(self, mu):

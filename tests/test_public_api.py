@@ -106,3 +106,13 @@ def test_public_names_are_what_demos_and_readme_use():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert exported == used
+
+
+def test_only_the_budget_module_raises_resource_cap_error():
+    raisers = {
+        path.name
+        for path in (ROOT / "src" / "fistab").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and "ResourceCapError" in ast.unparse(node)
+    }
+    assert raisers == {"budget.py"}
